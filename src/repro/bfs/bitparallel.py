@@ -198,7 +198,7 @@ def lane_sweep(
     pool:
         Optional duck-typed :class:`~repro.bfs.kernel.Workspace`
         supplying pooled lane matrices, the arange gather scratch, and
-        the claim flag.
+        the owner buffer and claim flag for frontier dedup.
     marks:
         ``None`` selects lane mode (per-source first touch via the
         reach matrix). A marks object (``is_visited`` / ``visit``)
@@ -250,7 +250,7 @@ def lane_sweep(
             full[-1] = np.uint64((1 << (k % LANE_WIDTH)) - 1)
 
     indptr, indices = graph.indptr, graph.indices
-    frontier = np.unique(sources)
+    frontier = compact_unique(sources, n, pool=pool)
     level = 0
     edges = 0
     # The level loop runs user callbacks (on_level, deadline checks)

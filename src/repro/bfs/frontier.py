@@ -20,10 +20,13 @@ The primitives here are:
 * :func:`row_any` — per-row boolean reduction over a gathered range
   (the bottom-up "does any of my neighbours sit on the frontier?" test).
 * :func:`compact_unique` — sorted deduplication of a fresh-neighbour
-  set: a sort for small sets, claim-via-flag-array plus
-  ``np.flatnonzero`` compaction for large ones (the vectorized analog
-  of the paper's atomic claim, cheaper than an ``O(f log f)`` sort once
-  the fresh set is a sizable fraction of ``|V|``).
+  set, the vectorized analog of the paper's atomic claim. Small sets
+  scatter each entry's position into a pooled ``owner`` buffer and keep
+  the entries whose slot still holds their own position (one survivor
+  per id, no hashing), then sort only the survivors. Large sets are
+  claimed into a flag array and compacted with ``np.flatnonzero``,
+  which beats even that ``O(f log f)`` survivor sort once the fresh set
+  is a sizable fraction of ``|V|``.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ __all__ = [
 ]
 
 #: Fresh sets larger than this fraction of ``|V|`` are deduplicated by
-#: claim + ``flatnonzero`` compaction instead of ``np.unique``'s sort:
-#: the flag scan costs ``O(n)`` while the sort costs ``O(f log f)``, so
-#: the crossover sits at a constant fraction of ``n``.
+#: claim + ``flatnonzero`` compaction instead of the owner claim's
+#: survivor sort: the flag scan costs ``O(n)`` while the sort costs
+#: ``O(f log f)``, so the crossover sits at a constant fraction of ``n``.
 CLAIM_FRACTION = 0.125
 
 
@@ -67,14 +70,17 @@ def gather_rows(
     base ramp from a cached scratch buffer instead of allocating a
     fresh ``np.arange`` per call; the scratch is only read.
     """
-    lengths = (stops - starts).astype(np.int64)
-    total = int(lengths.sum())
+    lengths = (stops - starts).astype(np.int64, copy=False)
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64), lengths
-    prefix = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     base = pool.arange(total) if pool is not None else np.arange(total, dtype=np.int64)
-    flat = base + np.repeat(starts - prefix, lengths)
-    return indices[flat].astype(np.int64), lengths
+    # Row i occupies flat slots ends[i]-lengths[i] .. ends[i]-1, so its
+    # offset into ``indices`` is starts[i] - (ends[i] - lengths[i]),
+    # i.e. stops[i] - ends[i].
+    flat = base + (stops - ends).repeat(lengths)
+    return indices[flat].astype(np.int64, copy=False), lengths
 
 
 def gather_neighbors(
@@ -109,17 +115,36 @@ def compact_unique(
 ) -> np.ndarray:
     """Sorted unique vertex ids of ``values`` (all in ``[0, num_vertices)``).
 
-    Small sets go through ``np.unique`` (a sort). Sets larger than
-    ``CLAIM_FRACTION * num_vertices`` are claimed into a boolean flag
-    array and compacted with ``np.flatnonzero`` — ``O(n)`` instead of
-    ``O(f log f)``, which wins exactly when the fresh set is large. The
-    flag comes from ``pool.claim_flag()`` when a pool is given (it must
-    be all-``False`` on entry and is restored to all-``False`` before
-    returning, so one pooled buffer serves every level of every
-    traversal).
+    Small sets are claimed through an ``owner`` buffer of ``num_vertices``
+    ids: ``owner[values] = ramp`` leaves each touched slot holding the
+    position of exactly one of its writers, so ``owner[values] == ramp``
+    keeps one entry per distinct id, and only those survivors are
+    sorted. Every slot the call reads was written earlier in the same
+    call, so the buffer is never reset and may hold garbage between
+    calls — ``pool.owner_buffer()`` serves it (plus ``pool.arange``
+    for the ramp) when a pool is given, ``np.empty`` otherwise. This
+    replaces ``np.unique``, which NumPy 2.x implements with hashing at
+    about six times the cost on the thin levels of high-diameter BFS.
+
+    Sets larger than ``CLAIM_FRACTION * num_vertices`` are claimed into
+    a boolean flag array and compacted with ``np.flatnonzero`` —
+    ``O(n)`` instead of ``O(f log f)``, which wins exactly when the
+    fresh set is large. The flag comes from ``pool.claim_flag()`` when
+    a pool is given (it must be all-``False`` on entry and is restored
+    to all-``False`` before returning, so one pooled buffer serves
+    every level of every traversal).
     """
-    if len(values) < max(64, int(num_vertices * CLAIM_FRACTION)):
-        return np.unique(values)
+    f = len(values)
+    if f < max(64, int(num_vertices * CLAIM_FRACTION)):
+        if pool is not None:
+            owner, ramp = pool.owner_buffer(), pool.arange(f)
+        else:
+            owner = np.empty(num_vertices, dtype=np.int64)
+            ramp = np.arange(f, dtype=np.int64)
+        owner[values] = ramp
+        kept = values[owner[values] == ramp]
+        kept.sort()
+        return kept
     flag = pool.claim_flag() if pool is not None else np.zeros(num_vertices, dtype=bool)
     try:
         flag[values] = True

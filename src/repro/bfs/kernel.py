@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.bfs.bitparallel import LaneSweep, lane_distances, lane_sweep
 from repro.bfs.bottomup import bottomup_step
+from repro.bfs.frontier import compact_unique
 from repro.bfs.instrumentation import BFSTrace, Direction
 from repro.bfs.topdown import topdown_step, topdown_step_blocks
 from repro.bfs.visited import VisitMarks
@@ -110,18 +111,19 @@ class WorkspaceStats:
     """Scratch-buffer accounting of one :class:`Workspace`.
 
     ``buffer_requests`` counts every time a traversal needed a pooled
-    scratch buffer (bottom-up frontier flag, claim flag, arange ramp,
-    or distance array); ``buffer_reuses`` counts how many of those were
-    served from the pool without allocating. Lane matrices (the
-    bit-parallel engine's ``(n, width)`` reach/frontier words) are
-    accounted separately: ``lane_requests`` / ``lane_reuses`` mirror the
-    generic counters and ``lane_words_allocated`` totals the ``uint64``
-    lane words ever allocated. ``peak_scratch_bytes`` is the high-water
-    mark of all scratch memory owned by the workspace (visit marks
-    included), while ``owned_bytes`` tracks what is *resident* in the
-    workspace right now — the singleton flags/ramp plus every pooled
-    distance buffer and lane matrix. ``CSRGraph.memory_bytes`` knows
-    nothing about this scratch, so ``owned_bytes`` is what the
+    scratch buffer (bottom-up frontier flag, claim flag, owner buffer,
+    arange ramp, or distance array); ``buffer_reuses`` counts how many
+    of those were served from the pool without allocating. Lane
+    matrices (the bit-parallel engine's ``(n, width)`` reach/frontier
+    words) are accounted separately: ``lane_requests`` /
+    ``lane_reuses`` mirror the generic counters and
+    ``lane_words_allocated`` totals the ``uint64`` lane words ever
+    allocated. ``peak_scratch_bytes`` is the high-water mark of all
+    scratch memory owned by the workspace (visit marks included), while
+    ``owned_bytes`` tracks what is *resident* in the workspace right
+    now — the singleton flags/owner/ramp plus every pooled distance
+    buffer and lane matrix. ``CSRGraph.memory_bytes`` knows nothing
+    about this scratch, so ``owned_bytes`` is what the
     ``--workspace-stats`` report adds to the graph's own footprint.
     ``edges_examined`` totals the arcs gathered by every traversal that
     ran on the workspace (top-down, bottom-up, and lane sweeps alike).
@@ -210,6 +212,7 @@ class Workspace:
         "stats",
         "_flag",
         "_claim",
+        "_owner",
         "_arange",
         "_dist_pool",
         "_lane_pool",
@@ -229,6 +232,8 @@ class Workspace:
         self._flag: np.ndarray | None = None
         #: Lazily allocated all-False claim flag for large-set compaction.
         self._claim: np.ndarray | None = None
+        #: Lazily allocated never-reset owner ids for small-set compaction.
+        self._owner: np.ndarray | None = None
         #: Cached monotonically-grown ``0..size-1`` ramp for gathers.
         self._arange: np.ndarray | None = None
         #: Free list of released distance buffers.
@@ -240,14 +245,15 @@ class Workspace:
     def owned_bytes(self) -> int:
         """Bytes currently resident in the workspace.
 
-        Visit marks, the singleton flag/claim/ramp buffers, and every
-        buffer sitting in the distance and lane pools. Buffers lent out
-        to a running traversal are *not* counted (they show up again
-        once released); ``stats.allocated_bytes`` covers live-but-lent
-        memory and ``stats.peak_scratch_bytes`` its high-water mark.
+        Visit marks, the singleton flag/claim/owner/ramp buffers, and
+        every buffer sitting in the distance and lane pools. Buffers
+        lent out to a running traversal are *not* counted (they show up
+        again once released); ``stats.allocated_bytes`` covers
+        live-but-lent memory and ``stats.peak_scratch_bytes`` its
+        high-water mark.
         """
         total = self.marks.marks.nbytes
-        for buf in (self._flag, self._claim, self._arange):
+        for buf in (self._flag, self._claim, self._owner, self._arange):
             if buf is not None:
                 total += buf.nbytes
         total += sum(d.nbytes for d in self._dist_pool)
@@ -263,20 +269,26 @@ class Workspace:
         self.stats.epochs += 1
         return self.marks.new_epoch()
 
+    def _singleton(self, slot: str, make) -> np.ndarray:
+        """The pooled per-vertex buffer in ``slot``, made on first request."""
+        self.stats.buffer_requests += 1
+        buf = getattr(self, slot)
+        if buf is None:
+            buf = make(self.num_vertices)
+            setattr(self, slot, buf)
+            self.stats._record_alloc(buf.nbytes)
+            self._sync_owned()
+        else:
+            self.stats.buffer_reuses += 1
+        return buf
+
     def frontier_flag(self) -> np.ndarray:
         """The pooled bottom-up frontier flag (contents unspecified).
 
         Callers must fully reinitialize it (``flag[:] = False``) before
         use; the bottom-up step does exactly that each level.
         """
-        self.stats.buffer_requests += 1
-        if self._flag is None:
-            self._flag = np.zeros(self.num_vertices, dtype=bool)
-            self.stats._record_alloc(self._flag.nbytes)
-            self._sync_owned()
-        else:
-            self.stats.buffer_reuses += 1
-        return self._flag
+        return self._singleton("_flag", lambda n: np.zeros(n, dtype=bool))
 
     def claim_flag(self) -> np.ndarray:
         """The pooled claim flag for large-set compaction.
@@ -286,14 +298,16 @@ class Workspace:
         :func:`repro.bfs.frontier.compact_unique`) — unlike
         :meth:`frontier_flag`, which bottom-up steps may leave dirty.
         """
-        self.stats.buffer_requests += 1
-        if self._claim is None:
-            self._claim = np.zeros(self.num_vertices, dtype=bool)
-            self.stats._record_alloc(self._claim.nbytes)
-            self._sync_owned()
-        else:
-            self.stats.buffer_reuses += 1
-        return self._claim
+        return self._singleton("_claim", lambda n: np.zeros(n, dtype=bool))
+
+    def owner_buffer(self) -> np.ndarray:
+        """The pooled ``int64`` owner buffer for small-set compaction.
+
+        Contents unspecified and never reset:
+        :func:`repro.bfs.frontier.compact_unique` reads only the slots
+        it wrote earlier in the same call.
+        """
+        return self._singleton("_owner", lambda n: np.empty(n, dtype=np.int64))
 
     def arange(self, total: int) -> np.ndarray:
         """A read-only-by-convention ``0..total-1`` ramp, cached and grown.
@@ -879,9 +893,10 @@ class TraversalKernel:
         use_ws_marks = marks is None
         if use_ws_marks:
             marks = self.workspace.marks
-        sources = np.unique(np.asarray(sources, dtype=np.int64))
-        if len(sources) and (sources[0] < 0 or sources[-1] >= n):
+        sources = np.asarray(sources, dtype=np.int64).ravel()
+        if len(sources) and (sources.min() < 0 or sources.max() >= n):
             raise AlgorithmError(f"partial BFS source out of range [0, {n})")
+        sources = compact_unique(sources, n, pool=self.workspace)
         if new_epoch:
             if use_ws_marks:
                 self.workspace.new_epoch()
@@ -1075,7 +1090,11 @@ class TraversalKernel:
         for step in range(num_steps + 1):
             injected = injections.get(step)
             if injected is not None:
-                arr = np.unique(np.asarray(injected, dtype=np.int64))
+                arr = compact_unique(
+                    np.asarray(injected, dtype=np.int64).ravel(),
+                    self.graph.num_vertices,
+                    pool=self.workspace,
+                )
                 fresh = arr[~marks.is_visited(arr)]
                 if len(fresh):
                     marks.visit(fresh)

@@ -6,10 +6,12 @@ adjacency lists of its vertices and claiming unvisited neighbours. The
 paper's threads claim neighbours with atomic compare-and-swap; here the
 claim is a vectorized visited-filter plus deduplication, which produces
 exactly the same next frontier. Deduplication adapts to the fresh-set
-size (see :func:`repro.bfs.frontier.compact_unique`): small sets are
-sorted with ``np.unique``, large ones are claimed into a pooled flag
-array and compacted with ``np.flatnonzero`` — the direct analog of the
-paper's claim-marks, without the sort.
+size (see :func:`repro.bfs.frontier.compact_unique`): small sets
+scatter their positions into a pooled never-reset owner buffer, keep
+one writer per id and sort only those survivors; large ones are
+claimed into a pooled flag array and compacted with
+``np.flatnonzero``. Both are analogs of the paper's CAS claim — one
+winner per vertex, no hashing — and both return the sorted frontier.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ def topdown_step(
     pool:
         Optional scratch pool (duck-typed
         :class:`~repro.bfs.kernel.Workspace`) providing the cached
-        ``arange`` ramp for the neighbour gather and the claim flag for
-        large-set compaction.
+        ``arange`` ramp for the neighbour gather, the owner buffer for
+        small-set compaction and the claim flag for large-set
+        compaction.
 
     Returns
     -------

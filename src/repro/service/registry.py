@@ -22,7 +22,10 @@ run on the scheduler's single dispatch thread (the same thread that
 runs ``QueryEngine`` batches), so the engine's registry and this one
 are mutated from exactly one thread. :meth:`pin`/:meth:`unpin` are
 called from the event loop and guarded by a lock; pinned graphs (ones
-with queries waiting or in flight) are never evicted.
+with queries waiting or in flight) are never evicted. Neither is a
+:class:`~repro.dynamic.DynamicGraph` that holds mutations (epoch > 0):
+a reopen would re-read the base file at epoch 0 and answer for the
+pre-mutation graph.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ def resident_bytes(graph) -> int:
     """
     base = getattr(graph, "base", graph)
     return int(base.indptr.nbytes + base.indices.nbytes)
+
+
+def _holds_mutations(graph) -> bool:
+    """Whether evicting ``graph`` would lose applied mutations."""
+    return isinstance(graph, DynamicGraph) and graph.epoch > 0
 
 
 @dataclass
@@ -187,14 +195,17 @@ class GraphRegistry:
                 (
                     k
                     for k in self._resident
-                    if k != keep and not self._pinned(k)
+                    if k != keep
+                    and not self._pinned(k)
+                    and not _holds_mutations(self._resident[k].graph)
                 ),
                 None,
             )
             if victim is None:
-                # Everything else is pinned (or this is the only
-                # graph): allow the overshoot — shedding in-flight
-                # work to honor a byte budget would corrupt batches.
+                # Everything else is pinned or mutated (or this is the
+                # only graph): allow the overshoot — shedding in-flight
+                # work or applied mutations to honor a byte budget
+                # would corrupt answers.
                 return
             self.evict(victim)
 

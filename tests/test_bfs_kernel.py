@@ -2,6 +2,7 @@
 
 import time
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -123,6 +124,28 @@ class TestKernelBFS:
     def test_no_deadline_runs_to_completion(self):
         kernel = TraversalKernel(path_graph(100))
         assert kernel.bfs(0).eccentricity == 99
+
+    def test_levels_unsorted_duplicate_sources(self):
+        # Sources arrive unsorted and repeated (Eliminate passes level
+        # sets straight through); the kernel deduplicates them itself
+        # and must expand exactly the distinct multi-source wave.
+        g, G = random_gnp(60, 0.06, 7)
+        sources = [41, 3, 41, 17, 3, 59, 0, 17]
+        distinct = sorted(set(sources))
+        got = TraversalKernel(g).levels(np.array(sources), None)
+        want = TraversalKernel(g).levels(distinct, None)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        # Ground truth: multi-source BFS depth from networkx.
+        depth = nx.multi_source_dijkstra_path_length(G, distinct)
+        for k, level in enumerate(got, start=1):
+            assert level.tolist() == sorted(v for v, d in depth.items() if d == k)
+        with pytest.raises(AlgorithmError):
+            TraversalKernel(g).levels([5, 60, 5], None)
+        with pytest.raises(AlgorithmError):
+            TraversalKernel(g).levels([-1, 5], None)
 
     def test_eccentricity_and_ball(self):
         g = star_graph(7)  # hub 0, leaves 1..6

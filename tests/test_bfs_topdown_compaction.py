@@ -1,15 +1,18 @@
 """Tests for the adaptive frontier deduplication in the top-down step.
 
-``compact_unique`` sorts small fresh sets with ``np.unique`` but claims
-large ones into a pooled flag array and compacts with
-``np.flatnonzero``. Both paths must produce identical frontiers, and
-the claim path must restore the pooled flag's all-False contract.
+``compact_unique`` claims small fresh sets through a never-reset owner
+buffer and sorts the survivors, but claims large ones into a pooled
+flag array and compacts with ``np.flatnonzero``. Both paths must equal
+``np.unique`` (sorted, unique, int64) whatever the owner buffer held
+before, and the flag path must restore the pooled flag's all-False
+contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.bfs.frontier as frontier_mod
 from repro.bfs.frontier import compact_unique
@@ -58,6 +61,87 @@ class TestCompactUnique:
         assert not pool.claim_flag().any()
 
 
+def small_limit(n):
+    """Fresh sets below this size take the owner-claim branch."""
+    return max(64, int(n * frontier_mod.CLAIM_FRACTION))
+
+
+@st.composite
+def id_multisets(draw, n=None):
+    """``(values, n)``: a multiset of ids in ``[0, n)`` on either branch.
+
+    The size is drawn below or at/above ``CLAIM_FRACTION * n`` so both
+    dedup branches are hit, the ids are uniform, one repeated id, or
+    only the boundary ids, and ``0``/``n - 1`` are spliced in on demand.
+    """
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=3_000))
+    limit = small_limit(n)
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=0, max_value=limit - 1))
+    else:
+        size = draw(st.integers(min_value=limit, max_value=limit + 2 * n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "one-id", "boundary"]))
+    if kind == "uniform":
+        values = rng.integers(0, n, size=size)
+    elif kind == "one-id":
+        values = np.full(size, rng.integers(0, n), dtype=np.int64)
+    else:
+        values = rng.choice(np.array([0, n - 1], dtype=np.int64), size=size)
+    if size and draw(st.booleans()):
+        values[rng.integers(0, size)] = 0
+        values[rng.integers(0, size)] = n - 1
+    return values.astype(np.int64), n
+
+
+class TestCompactUniqueProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(id_multisets())
+    def test_equals_np_unique_pooled_and_poolless(self, case):
+        values, n = case
+        before = values.copy()
+        want = np.unique(values)
+        for pool in (None, Workspace(n)):
+            got = compact_unique(values, n, pool=pool)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(values, before)  # input untouched
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(id_multisets(n=700), min_size=1, max_size=12))
+    def test_repeated_calls_on_dirty_pool(self, cases):
+        # One pool across many calls: the owner buffer keeps whatever
+        # earlier calls scattered into it (and starts as deliberate
+        # garbage that aliases real positions), so only slots written
+        # in the current call may ever be read.
+        pool = Workspace(700)
+        pool.owner_buffer()[:] = np.arange(700) % 5
+        for values, n in cases:
+            np.testing.assert_array_equal(
+                compact_unique(values, n, pool=pool), np.unique(values)
+            )
+        assert not pool.claim_flag().any()
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 5_000])
+    def test_edge_cases_both_branches(self, n):
+        pool = Workspace(n)
+        limit = small_limit(n)
+        cases = [
+            np.empty(0, dtype=np.int64),
+            np.full(limit - 1, n - 1, dtype=np.int64),  # all-duplicate, owner branch
+            np.full(limit + 1, n - 1, dtype=np.int64),  # all-duplicate, flag branch
+            np.array([n - 1, 0] * (limit // 2), dtype=np.int64),
+            np.array([n - 1, 0] * (limit + 1), dtype=np.int64),
+        ]
+        for values in cases:
+            want = np.unique(values)
+            for p in (None, pool):
+                got = compact_unique(values, n, pool=p)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+
+
 class TestTopdownFrontiers:
     def test_both_paths_identical_frontiers(self, monkeypatch):
         # Run the same traversal once per dedup strategy and assert the
@@ -77,7 +161,7 @@ class TestTopdownFrontiers:
                 levels.append(frontier.copy())
             return levels
 
-        sort_levels = run(2.0)  # np.unique always
+        sort_levels = run(2.0)  # owner claim + survivor sort always
         claim_levels = run(0.0)  # claim + flatnonzero always
         assert len(sort_levels) == len(claim_levels)
         for a, b in zip(sort_levels, claim_levels):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import nx_cc_diameter, random_gnp, to_nx
+from repro.baselines import ifub_diameter
 from repro.core import ABLATIONS, FDiamConfig, Reason, fdiam
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.generators import (
@@ -19,6 +20,7 @@ from repro.generators import (
     star_graph,
     watts_strogatz,
 )
+from repro.generators.registry import build_analog
 from repro.graph import empty_graph, from_edges
 
 
@@ -176,6 +178,39 @@ class TestStats:
         assert without.stats.traces == []
         with_traces = fdiam(g, FDiamConfig(keep_traces=True))
         assert len(with_traces.stats.traces) == with_traces.stats.eccentricity_bfs
+
+
+class TestPinnedAnalogCounts:
+    """Exact work counts on two pinned paper analogs.
+
+    Values recorded before the level step's dedup moved off
+    ``np.unique``. The frontier dedup, every tie-break and the BFS
+    schedule feed these numbers, so a dedup that loses sortedness or a
+    reordered tie-break shows up here even when the diameter stays
+    right.
+    """
+
+    @pytest.mark.parametrize(
+        "name,diameter,infinite,bfs,edges",
+        [
+            ("USA-road-d.NY", 121, True, 32, 645_464),
+            ("internet", 28, False, 24, 714_697),
+        ],
+    )
+    def test_counts_match_recorded(self, name, diameter, infinite, bfs, edges):
+        res = fdiam(build_analog(name))
+        assert res.diameter == diameter
+        assert res.infinite == infinite
+        assert res.stats.bfs_traversals == bfs
+        assert res.stats.edges_examined == edges
+
+    @pytest.mark.parametrize(
+        "name,bfs", [("USA-road-d.NY", 100), ("internet", 9)]
+    )
+    def test_ifub_sweep_tie_breaks(self, name, bfs):
+        # iFUB starts every sweep from ``last_frontier[0]``, so an
+        # unsorted deepest level changes its BFS count.
+        assert ifub_diameter(build_analog(name)).bfs_traversals == bfs
 
 
 class TestDeadline:

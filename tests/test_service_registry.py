@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import AlgorithmError
+from repro.generators import path_graph
 from repro.graph import from_networkx, save_npz
 from repro.query import QueryEngine
 from repro.service import GraphRegistry, GraphSpec, UnknownGraphError
@@ -117,3 +118,38 @@ class TestLRU:
         # The caller's graph object must still be usable.
         assert graph.num_vertices == 64
         assert graph.indptr[-1] == graph.indices.shape[0]
+
+    def test_mutated_dynamic_graph_never_evicted(self, engine, tmp_path):
+        # Evicting a --mutable graph that holds mutations used to drop
+        # its overlay: the next ensure re-read the base file at epoch 0
+        # and answered for the pre-mutation graph without error.
+        paths = {}
+        for key in "ab":
+            paths[key] = str(tmp_path / f"{key}.npz")
+            save_npz(path_graph(10), paths[key], compressed=False)
+        registry = GraphRegistry(engine, byte_budget=1)
+        for key in "ab":
+            registry.register(key, path=paths[key], dynamic=True)
+
+        registry.ensure("a")
+        engine.mutate("a", inserts=[(0, 9)])
+        assert engine.graph_epoch("a") == 1
+        registry.ensure("b")  # over budget: 'a' is the LRU candidate
+        assert registry.snapshot()["graphs"]["a"]["resident"]
+        graph = registry.ensure("a")
+        assert engine.graph_epoch("a") == 1
+        assert graph.has_edge(0, 9)
+        answers, _ = engine.run("a", ["dist 0 9", "diam"])
+        assert answers == [1, 5]
+
+    def test_unmutated_dynamic_graph_still_evictable(self, engine, tmp_path):
+        paths = {}
+        for key in "ab":
+            paths[key] = str(tmp_path / f"{key}.npz")
+            save_npz(path_graph(10), paths[key], compressed=False)
+        registry = GraphRegistry(engine, byte_budget=1)
+        for key in "ab":
+            registry.register(key, path=paths[key], dynamic=True)
+        registry.ensure("a")
+        registry.ensure("b")
+        assert not registry.snapshot()["graphs"]["a"]["resident"]

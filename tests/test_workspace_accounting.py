@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bfs.kernel import TraversalKernel, Workspace
+from repro.bfs.topdown import topdown_step
 from repro.core.config import FDiamConfig
 from repro.core.extremes import eccentricity_spectrum
 from repro.core.fdiam import fdiam
@@ -49,10 +50,38 @@ class TestOwnedBytes:
         ws = Workspace(50)
         ws.frontier_flag()
         ws.claim_flag()
+        ws.owner_buffer()
         ws.arange(10)
         owned = ws.owned_bytes()
+        assert owned == ws.marks.marks.nbytes + 50 + 50 + 50 * 8 + ws._arange.nbytes
         ws.frontier_flag()  # reuse: nothing new resident
+        ws.owner_buffer()
         assert ws.owned_bytes() == owned
+
+    def test_owner_buffer_counted_after_topdown_step(self):
+        graph = grid_2d(12, 12)
+        ws = Workspace(graph.num_vertices)
+        assert ws._owner is None
+        base_owned = ws.owned_bytes()
+        base_peak = ws.stats.peak_scratch_bytes
+        ws.new_epoch()
+        ws.marks.visit(0)
+        # A corner's two neighbours are far below the claim-flag
+        # threshold, so the step dedups through the owner buffer.
+        topdown_step(graph, np.array([0], dtype=np.int64), ws.marks, pool=ws)
+        owner = ws._owner
+        assert owner is not None
+        assert owner.dtype == np.int64 and len(owner) == graph.num_vertices
+        ramp = ws._arange.nbytes
+        assert ws.owned_bytes() == base_owned + owner.nbytes + ramp
+        assert ws.stats.owned_bytes == ws.owned_bytes()
+        assert ws.stats.peak_scratch_bytes == base_peak + owner.nbytes + ramp
+        # Later steps reuse the same buffer: nothing new resident.
+        owned, peak = ws.owned_bytes(), ws.stats.peak_scratch_bytes
+        topdown_step(graph, np.array([1, 12], dtype=np.int64), ws.marks, pool=ws)
+        assert ws._owner is owner
+        assert ws.owned_bytes() == owned
+        assert ws.stats.peak_scratch_bytes == peak
 
     def test_run_reports_owned_bytes(self):
         res = fdiam(grid_2d(8, 8))
