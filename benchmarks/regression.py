@@ -117,19 +117,6 @@ def _stage_fdiam(graph, repeats):
     }
 
 
-def _stage_fdiam_lanes64(graph, repeats):
-    config = FDiamConfig(bfs_batch_lanes=64)
-    wall, res = _timed(lambda: fdiam(graph, config), repeats)
-    return {
-        "wall_s": wall,
-        "bfs_count": res.stats.bfs_traversals,
-        "edges_examined": res.stats.edges_examined,
-        "lane_fallbacks": res.stats.lane_fallbacks,
-        "lane_fallback_reasons": list(res.stats.lane_fallback_reasons),
-        "diameter": res.diameter,
-    }
-
-
 def _stage_fdiam_prep(graph, repeats):
     config = FDiamConfig(prep="auto")
     wall, res = _timed(lambda: fdiam(graph, config), repeats)
@@ -632,7 +619,6 @@ def _scale_fdiam_budgeted(graph):
 STAGES = {
     "bfs_hybrid": (_stage_bfs_hybrid, True),
     "fdiam": (_stage_fdiam, True),
-    "fdiam_lanes64": (_stage_fdiam_lanes64, True),
     "fdiam_prep": (_stage_fdiam_prep, True),
     "fdiam_warm": (_stage_fdiam_warm, True),
     "query_batch": (_stage_query_batch, True),

@@ -61,13 +61,6 @@ def test_kernel_pooled_bfs_powerlaw(benchmark, powerlaw_graph):
     assert kernel.workspace.stats.hit_rate > 0.5
 
 
-@pytest.mark.benchmark(group="micro-bfs")
-def test_kernel_batched_bfs_powerlaw(benchmark, powerlaw_graph):
-    kernel = TraversalKernel(powerlaw_graph, engine="batched")
-    result = benchmark(kernel.bfs, 0)
-    assert result.eccentricity > 0
-
-
 @pytest.mark.benchmark(group="micro-winnow")
 def test_winnow_partial_bfs(benchmark, powerlaw_graph):
     u = powerlaw_graph.max_degree_vertex()

@@ -76,9 +76,7 @@ class BaselineContext:
         self.batch_lanes = batch_lanes
         self.workers = workers
         self.bfs_count = 0
-        self.kernel = TraversalKernel(
-            graph, engine=engine, deadline=deadline, batch_lanes=batch_lanes
-        )
+        self.kernel = TraversalKernel(graph, engine=engine, deadline=deadline)
         self.marks = self.kernel.workspace.marks
         self._executor = None
         self._executor_vetoed = False

@@ -1,14 +1,14 @@
 """Level-synchronous BFS engines.
 
 The traversal surface is unified behind
-:class:`~repro.bfs.kernel.TraversalKernel` (full direction-optimized
-BFS, batched multi-source level expansion, bit-parallel 64-lane
-multi-source sweeps, staggered waves) with a pooled
+:class:`~repro.bfs.kernel.TraversalKernel` (single-source BFS on the
+``"parallel"`` direction-optimized hybrid or the ``"serial"`` scalar
+reference loop, the scalar multi-source level wave, bit-parallel
+64-lane multi-source sweeps, staggered waves) with a pooled
 :class:`~repro.bfs.kernel.Workspace` of scratch buffers. The
 single-shot helpers (:func:`run_bfs`, :func:`partial_bfs_levels`,
 :func:`ball`), the counter-based visited marks (:class:`VisitMarks`),
-the scalar reference engine (:func:`serial_bfs`), the open engine
-registry (:func:`register_engine` / :func:`get_engine`), and traversal
+the scalar reference engine (:func:`serial_bfs`), and traversal
 instrumentation all build on it.
 """
 
@@ -20,14 +20,7 @@ from repro.bfs.bitparallel import (
     segmented_or,
 )
 from repro.bfs.bottomup import bottomup_step
-from repro.bfs.eccentricity import (
-    Engine,
-    all_eccentricities,
-    available_engines,
-    eccentricity,
-    get_engine,
-    register_engine,
-)
+from repro.bfs.eccentricity import Engine, all_eccentricities, eccentricity
 from repro.bfs.frontier import (
     compact_unique,
     frontier_edge_count,
@@ -63,7 +56,6 @@ __all__ = [
     "Workspace",
     "WorkspaceStats",
     "all_eccentricities",
-    "available_engines",
     "ball",
     "bottomup_step",
     "compact_unique",
@@ -71,11 +63,9 @@ __all__ = [
     "frontier_edge_count",
     "gather_neighbors",
     "gather_rows",
-    "get_engine",
     "lane_distances",
     "lane_sweep",
     "partial_bfs_levels",
-    "register_engine",
     "row_any",
     "segmented_or",
     "run_bfs",

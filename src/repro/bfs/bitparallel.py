@@ -25,20 +25,11 @@ batching, cf. multi-source BFS in the Magnien–Latapy–Habib
 bounding-BFS lineage; see DESIGN.md §8 for the mapping onto the
 paper's multi-source partial BFS).
 
-Two read-out modes:
-
-* **lane mode** (``marks=None``) — per-source semantics: per-lane
-  eccentricities, visited counts, distance matrices. Backs the
-  ``"bitparallel"`` engine, :meth:`TraversalKernel.levels_batched64`,
-  the batched eccentricity spectrum, and the batched baseline
-  refinement rounds.
-* **merged mode** (``marks`` given) — first-touch-across-all-sources
-  semantics identical to :meth:`TraversalKernel.levels`: a vertex is
-  fresh when *any* lane reaches it and the shared marks have not seen
-  it. This is the paper's multi-source partial BFS (Eliminate
-  extension §4.5, Winnow resume) executed on the lane machinery;
-  sources are spread round-robin over 64 lanes purely for the lane
-  accounting, the level sets are bit-for-bit those of the scalar wave.
+Read-out is per source: per-lane eccentricities, visited counts, and
+distance matrices. This backs :meth:`TraversalKernel.levels_batched64`,
+:meth:`TraversalKernel.distance_batch`, the batched eccentricity
+spectrum, the batched baseline refinement rounds, and chain-tip
+batching.
 
 Buffers come from a duck-typed :class:`~repro.bfs.kernel.Workspace`
 pool (``acquire_lanes`` / ``release_lanes``) so repeated sweeps reuse
@@ -102,21 +93,11 @@ def segmented_or(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lane_layout(k: int, merged: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """Width in words plus per-source (word, bit) lane assignment.
-
-    Lane mode gives every source its own bit; merged mode folds all
-    sources round-robin into one 64-lane word (the lane structure is
-    diagnostic only there — read-out is first-touch via shared marks).
-    """
-    if merged:
-        width = 1
-        word = np.zeros(k, dtype=np.int64)
-        bitpos = (np.arange(k) % LANE_WIDTH).astype(np.uint64)
-    else:
-        width = max(1, -(-k // LANE_WIDTH))
-        word = np.arange(k) // LANE_WIDTH
-        bitpos = (np.arange(k) % LANE_WIDTH).astype(np.uint64)
+def _lane_layout(k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Width in words plus per-source (word, bit) lane assignment."""
+    width = max(1, -(-k // LANE_WIDTH))
+    word = np.arange(k) // LANE_WIDTH
+    bitpos = (np.arange(k) % LANE_WIDTH).astype(np.uint64)
     return width, word, np.left_shift(_ONE, bitpos)
 
 
@@ -127,15 +108,14 @@ class LaneSweep:
     Attributes
     ----------
     sources:
-        The lane assignment: lane ``i`` traverses from ``sources[i]``
-        (lane mode) — or, in merged mode, the deduplicated seed set.
+        The lane assignment: lane ``i`` traverses from ``sources[i]``.
     width:
-        Lane words per vertex (``ceil(k / 64)``; 1 in merged mode).
+        Lane words per vertex (``ceil(k / 64)``).
     eccentricities:
         Per lane, the deepest level at which the lane discovered a
         vertex — the source's eccentricity within its component when
         the sweep ran to exhaustion, or the depth reached under a
-        level cap. Meaningful in lane mode only.
+        level cap.
     visited_counts:
         Per-lane reached-vertex counts (source included); filled only
         when requested via ``record_counts``.
@@ -177,7 +157,6 @@ def lane_sweep(
     max_level: int | None = None,
     *,
     pool=None,
-    marks=None,
     on_level: Callable[[int, np.ndarray, np.ndarray], object] | None = None,
     check: Callable[[], None] | None = None,
     record_counts: bool = False,
@@ -199,14 +178,6 @@ def lane_sweep(
         Optional duck-typed :class:`~repro.bfs.kernel.Workspace`
         supplying pooled lane matrices, the arange gather scratch, and
         the owner buffer and claim flag for frontier dedup.
-    marks:
-        ``None`` selects lane mode (per-source first touch via the
-        reach matrix). A marks object (``is_visited`` / ``visit``)
-        selects merged mode: first touch across ALL sources, read out
-        through the shared marks — the exact semantics of
-        :meth:`TraversalKernel.levels`. Callers are responsible for
-        epoch handling and for pre-marking sources when the merged
-        wave must not rediscover them.
     on_level:
         Optional ``callback(depth, fresh_vertices, fresh_words)``
         invoked per level (depth counts from 1, ``fresh_words`` is the
@@ -225,8 +196,7 @@ def lane_sweep(
     n = graph.num_vertices
     if k and (sources.min() < 0 or sources.max() >= n):
         raise AlgorithmError(f"lane sweep source out of range [0, {n})")
-    merged = marks is not None
-    width, word_idx, bits = _lane_layout(k, merged)
+    width, word_idx, bits = _lane_layout(k)
     ecc = np.zeros(k, dtype=np.int64)
     if k == 0:
         return LaneSweep(
@@ -240,14 +210,11 @@ def lane_sweep(
 
     front = pool.acquire_lanes(width) if pool is not None else np.zeros((n, width), dtype=np.uint64)
     np.bitwise_or.at(front, (sources, word_idx), bits)
-    reach = None
-    full = None
-    if not merged:
-        reach = pool.acquire_lanes(width) if pool is not None else np.zeros((n, width), dtype=np.uint64)
-        reach[sources] = front[sources]
-        full = np.full(width, ~_ZERO, dtype=np.uint64)
-        if k % LANE_WIDTH:
-            full[-1] = np.uint64((1 << (k % LANE_WIDTH)) - 1)
+    reach = pool.acquire_lanes(width) if pool is not None else np.zeros((n, width), dtype=np.uint64)
+    reach[sources] = front[sources]
+    full = np.full(width, ~_ZERO, dtype=np.uint64)
+    if k % LANE_WIDTH:
+        full[-1] = np.uint64((1 << (k % LANE_WIDTH)) - 1)
 
     indptr, indices = graph.indptr, graph.indices
     frontier = compact_unique(sources, n, pool=pool)
@@ -273,10 +240,7 @@ def lane_sweep(
             if len(neigh) == 0:
                 break
             cand = compact_unique(neigh, n, pool=pool)
-            if merged:
-                cand = cand[~np.asarray(marks.is_visited(cand), dtype=bool)]
-            else:
-                cand = cand[(reach[cand] != full).any(axis=1)]  # drop saturated
+            cand = cand[(reach[cand] != full).any(axis=1)]  # drop saturated
             if len(cand) == 0:
                 break
             # Pull: each candidate ORs its neighbours' frontier lane words.
@@ -285,19 +249,13 @@ def lane_sweep(
             )
             edges += len(vals)
             pulled = segmented_or(front[vals], lengths)
-            if merged:
-                # Every candidate has a frontier neighbour by construction,
-                # so all of them are fresh under first-touch semantics.
-                fresh, fresh_words = cand, pulled
-                marks.visit(fresh)
-            else:
-                pulled &= ~reach[cand]
-                live = np.flatnonzero((pulled != _ZERO).any(axis=1))
-                if len(live) == 0:
-                    break
-                fresh = cand[live]
-                fresh_words = pulled[live]
-                reach[fresh] |= fresh_words
+            pulled &= ~reach[cand]
+            live = np.flatnonzero((pulled != _ZERO).any(axis=1))
+            if len(live) == 0:
+                break
+            fresh = cand[live]
+            fresh_words = pulled[live]
+            reach[fresh] |= fresh_words
             front[frontier] = _ZERO
             front[fresh] = fresh_words
             frontier = fresh
@@ -309,18 +267,13 @@ def lane_sweep(
         counts = None
         if record_counts:
             counts = np.zeros(k, dtype=np.int64)
-            if merged:
-                counts += 1  # sources only; merged read-out lives in the marks
-            else:
-                for j in range(k):
-                    counts[j] = int(
-                        ((reach[:, word_idx[j]] & bits[j]) != _ZERO).sum()
-                    )
+            for j in range(k):
+                counts[j] = int(((reach[:, word_idx[j]] & bits[j]) != _ZERO).sum())
     finally:
         front[frontier] = _ZERO  # pooled buffers go back clean
         if pool is not None:
             pool.release_lanes(front)
-            if reach is not None and not record_reach:
+            if not record_reach:
                 pool.release_lanes(reach)
             stats = getattr(pool, "stats", None)
             if stats is not None:
@@ -362,7 +315,7 @@ def lane_distances(
         sweep = lane_sweep(graph, sources, max_level, pool=pool, check=check)
         return dist, sweep
     dist[np.arange(k), sources] = 0
-    width, word_idx, bits = _lane_layout(k, merged=False)
+    width, word_idx, bits = _lane_layout(k)
 
     def unpack(depth: int, fresh: np.ndarray, fresh_words: np.ndarray) -> None:
         for j in range(k):

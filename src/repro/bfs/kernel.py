@@ -19,33 +19,31 @@ whole traversal surface behind two objects:
   ``--workspace-stats`` report.
 
 * :class:`TraversalKernel` — a graph-bound facade exposing the full
-  traversal surface: direction-optimized full BFS (:meth:`bfs`, paper
-  Algorithm 2 / §4.6), level-capped batched multi-source BFS
-  (:meth:`levels`, the primitive behind Winnow / Eliminate / the §4.5
-  extension), bit-parallel 64-lane multi-source BFS
-  (:meth:`levels_batched64`, one shared edge sweep driving up to 64
+  traversal surface: single-source BFS (:meth:`bfs`) on one of two
+  engines — ``"parallel"``, the direction-optimized hybrid (paper
+  Algorithm 2 / §4.6), or ``"serial"``, the scalar reference loop of
+  :func:`repro.bfs.reference.serial_bfs` — the level-capped scalar
+  multi-source wave (:meth:`levels`, the primitive behind Winnow /
+  Eliminate / the §4.5 extension), bit-parallel 64-lane multi-source
+  BFS (:meth:`levels_batched64`, one shared edge sweep driving up to 64
   logical traversals per machine word — see
   :mod:`repro.bfs.bitparallel`), and the staggered multi-source wave
   (:meth:`staggered_wave`) that Chain Processing injects its anchors
   into. The top-down and bottom-up modules act as direction-step
   strategies invoked by the kernel; an optional deadline is checked at
-  every level so even a single huge traversal aborts within one level
-  of the budget expiring. With ``batch_lanes > 0`` (the
-  ``--bfs-batch-lanes`` switch) the merged :meth:`levels` wave also
-  runs on the lane machinery, producing bit-identical level sets while
-  exercising the pooled lane matrices.
+  every level of every engine, so even a single huge traversal aborts
+  within one level of the budget expiring.
 
 The single-shot helpers in :mod:`repro.bfs.hybrid` and
 :mod:`repro.bfs.partial` remain as thin wrappers that build an
-ephemeral kernel, so existing call sites and the engine registry keep
-working unchanged.
+ephemeral kernel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -61,6 +59,7 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "BFSResult",
     "DEFAULT_THRESHOLD",
+    "Engine",
     "Workspace",
     "WorkspaceStats",
     "TraversalKernel",
@@ -70,6 +69,11 @@ __all__ = [
 #: (paper Section 4.6: "We experimentally determined a threshold of 10%
 #: of the number of vertices to yield good performance").
 DEFAULT_THRESHOLD = 0.10
+
+#: Single-source BFS engine: the vectorized direction-optimized hybrid
+#: (the paper's OpenMP code analog) or the scalar reference loop (the
+#: paper's serial code analog).
+Engine = Literal["parallel", "serial"]
 
 
 @dataclass(frozen=True)
@@ -430,10 +434,9 @@ class TraversalKernel:
     graph:
         The graph all traversals of this kernel run on.
     engine:
-        Default execution engine for :meth:`bfs`: ``"parallel"``
-        (vectorized direction-optimized hybrid) or any other name
-        registered with :func:`repro.bfs.eccentricity.register_engine`
-        (``"serial"``, ``"batched"``).
+        Execution engine for :meth:`bfs`: ``"parallel"`` (vectorized
+        direction-optimized hybrid) or ``"serial"`` (scalar reference
+        loop). Any other name raises :class:`AlgorithmError`.
     threshold:
         Frontier-size fraction of ``|V|`` at which the hybrid goes
         bottom-up.
@@ -447,12 +450,6 @@ class TraversalKernel:
         :class:`~repro.errors.BenchmarkTimeout`, so even one huge
         traversal (2-sweep, Winnow, Extend) aborts within a level of
         the budget expiring.
-    batch_lanes:
-        When positive, the multi-source :meth:`levels` primitive routes
-        through the bit-parallel lane-sweep machinery (merged read-out;
-        results are identical, the lane words carry seed-group
-        diagnostics and the sweeps share the workspace's pooled lane
-        matrices). ``0`` (the default) keeps the scalar top-down wave.
     block_gather:
         Policy for the compressed-store gather path, effective only
         when the graph carries an open
@@ -493,7 +490,6 @@ class TraversalKernel:
         "directions",
         "workspace",
         "deadline",
-        "batch_lanes",
         "block_gather",
         "memory_budget",
         "memory_mode",
@@ -505,17 +501,20 @@ class TraversalKernel:
         self,
         graph: CSRGraph,
         *,
-        engine: str = "parallel",
+        engine: Engine = "parallel",
         threshold: float = DEFAULT_THRESHOLD,
         directions: bool = True,
         workspace: Workspace | None = None,
         deadline: float | None = None,
-        batch_lanes: int = 0,
         block_gather: str = "auto",
         memory_budget: int | None = None,
         memory_mode: str = "auto",
     ):
         self.graph = graph
+        if engine not in get_args(Engine):
+            raise AlgorithmError(
+                f"engine must be 'parallel' or 'serial', got {engine!r}"
+            )
         self.engine = engine
         self.threshold = threshold
         self.directions = directions
@@ -526,9 +525,6 @@ class TraversalKernel:
                 f"{self.workspace.num_vertices} != {graph.num_vertices}"
             )
         self.deadline = deadline
-        if batch_lanes < 0:
-            raise AlgorithmError(f"batch_lanes must be >= 0, got {batch_lanes}")
-        self.batch_lanes = batch_lanes
         if block_gather not in ("auto", "force", "off"):
             raise AlgorithmError(
                 f"block_gather must be 'auto', 'force', or 'off', "
@@ -656,29 +652,24 @@ class TraversalKernel:
         record_trace: bool = False,
     ) -> BFSResult:
         """One complete (or level-capped) BFS through the configured engine."""
-        if self.engine == "parallel":
-            return self._hybrid_bfs(
+        if self.engine == "serial":
+            # Call-time import: the reference module builds on the
+            # BFSResult defined here.
+            from repro.bfs.reference import serial_bfs
+
+            return serial_bfs(
+                self.graph,
                 source,
+                self.workspace.marks,
                 max_level=max_level,
                 record_dist=record_dist,
-                record_trace=record_trace,
+                check=self.check_deadline,
             )
-        if self.engine == "batched":
-            return self._batched_bfs(
-                source, max_level=max_level, record_dist=record_dist
-            )
-        if self.engine == "bitparallel":
-            return self._bitparallel_bfs(
-                source, max_level=max_level, record_dist=record_dist
-            )
-        from repro.bfs.eccentricity import get_engine
-
-        return get_engine(self.engine)(
-            self.graph,
+        return self._hybrid_bfs(
             source,
-            self.workspace.marks,
             max_level=max_level,
             record_dist=record_dist,
+            record_trace=record_trace,
         )
 
     def _hybrid_bfs(
@@ -762,81 +753,6 @@ class TraversalKernel:
             trace=trace,
         )
 
-    def _batched_bfs(
-        self, source: int, *, max_level: int | None, record_dist: bool
-    ) -> BFSResult:
-        """Single-source BFS through the batched multi-source machinery.
-
-        A structurally independent engine (one source, the
-        :meth:`levels` code path) used by the equivalence tests to
-        cross-check the multi-source primitive against the hybrid and
-        scalar engines.
-        """
-        n = self.graph.num_vertices
-        if not 0 <= source < n:
-            raise AlgorithmError(f"BFS source {source} out of range [0, {n})")
-        dist = self.workspace.acquire_dist() if record_dist else None
-        if dist is not None:
-            dist[source] = 0
-
-        def fill_dist(depth: int, vertices: np.ndarray) -> None:
-            if dist is not None:
-                dist[vertices] = depth
-
-        levels = self.levels([source], max_level, on_level=fill_dist)
-        visited = 1 + sum(len(level) for level in levels)
-        last = levels[-1] if levels else np.array([source], dtype=np.int64)
-        return BFSResult(
-            source=source,
-            eccentricity=len(levels),
-            visited_count=visited,
-            last_frontier=last,
-            dist=dist,
-            trace=None,
-        )
-
-    def _bitparallel_bfs(
-        self, source: int, *, max_level: int | None, record_dist: bool
-    ) -> BFSResult:
-        """Single-source BFS through the bit-parallel lane engine.
-
-        One lane of the 64-lane sweep (see :mod:`repro.bfs.bitparallel`)
-        — a third structurally independent code path the equivalence
-        tests cross-check against the hybrid and batched engines.
-        """
-        n = self.graph.num_vertices
-        if not 0 <= source < n:
-            raise AlgorithmError(f"BFS source {source} out of range [0, {n})")
-        dist = self.workspace.acquire_dist() if record_dist else None
-        if dist is not None:
-            dist[source] = 0
-        visited = 1
-        last = np.array([source], dtype=np.int64)
-
-        def on_level(depth: int, fresh: np.ndarray, _words: np.ndarray) -> None:
-            nonlocal visited, last
-            visited += len(fresh)
-            last = fresh
-            if dist is not None:
-                dist[fresh] = depth
-
-        sweep = lane_sweep(
-            self.graph,
-            [source],
-            max_level,
-            pool=self.workspace,
-            on_level=on_level,
-            check=self.check_deadline,
-        )
-        return BFSResult(
-            source=source,
-            eccentricity=sweep.levels,
-            visited_count=visited,
-            last_frontier=last,
-            dist=dist,
-            trace=None,
-        )
-
     # ------------------------------------------------------------------
     # Batched multi-source level expansion (Winnow / Eliminate / Extend)
     # ------------------------------------------------------------------
@@ -905,13 +821,6 @@ class TraversalKernel:
         if mark_sources:
             marks.visit(sources)
 
-        if self.batch_lanes > 0 and self.memory_mode not in ("cached", "stream"):
-            # Lane sweeps run on the decoded arrays; under a memory
-            # budget the scalar block path below bounds decoded scratch.
-            return self._levels_lanes(
-                sources, max_level, marks=marks, on_level=on_level
-            )
-
         budgeted = self.memory_mode in ("cached", "stream")
         use_blocks = budgeted or self._use_block_gather(len(sources), max_level)
         retain = self.memory_mode != "stream"
@@ -944,41 +853,6 @@ class TraversalKernel:
                 break
         if use_blocks:
             self._sync_store_stats()
-        return levels
-
-    def _levels_lanes(
-        self,
-        sources: np.ndarray,
-        max_level: int | None,
-        *,
-        marks,
-        on_level: Callable[[int, np.ndarray], object] | None,
-    ) -> list[np.ndarray]:
-        """Merged multi-source expansion on the bit-parallel machinery.
-
-        Level sets are identical to the scalar top-down wave (first
-        touch across all sources, read out through the shared marks);
-        the sources are spread round-robin over 64 lanes so the sweep
-        exercises the lane words and the workspace's pooled lane
-        matrices — see :mod:`repro.bfs.bitparallel` (merged mode).
-        """
-        levels: list[np.ndarray] = []
-
-        def collect(depth: int, fresh: np.ndarray, _words: np.ndarray):
-            levels.append(fresh)
-            if on_level is not None and on_level(depth, fresh) is False:
-                return False
-            return None
-
-        lane_sweep(
-            self.graph,
-            sources,
-            max_level,
-            pool=self.workspace,
-            marks=marks,
-            on_level=collect,
-            check=self.check_deadline,
-        )
         return levels
 
     def levels_batched64(

@@ -16,6 +16,7 @@ Two roles:
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +35,14 @@ def serial_bfs(
     *,
     max_level: int | None = None,
     record_dist: bool = False,
+    check: Callable[[], None] | None = None,
 ) -> BFSResult:
     """Level-synchronous BFS with a scalar Python inner loop.
 
     Semantically identical to :func:`repro.bfs.hybrid.run_bfs` (same
     result fields, same counter-based visited marks), just executed one
-    edge at a time.
+    edge at a time. ``check`` is an optional per-level hook (the
+    kernel's deadline check), called before each level expands.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
@@ -67,6 +70,8 @@ def serial_bfs(
     while frontier:
         if max_level is not None and level >= max_level:
             break
+        if check is not None:
+            check()
         next_frontier: list[int] = []
         append = next_frontier.append
         for v in frontier:

@@ -60,8 +60,8 @@ def _plan_base_config(
     """Resolve ``config.prep`` into plain-driver tweaks + a plan record.
 
     Mirrors the prep pipeline's gated short-circuit: the planner's
-    engine verdict (lanes, chain-tip batching) survives, the structural
-    stages do not run here (see module docstring). The returned JSON
+    chain-tip verdict survives, the structural stages do not run here
+    (see module docstring). The returned JSON
     string is persisted in the sidecar so a later inspection can see
     which verdict the cached run was produced under.
     """
@@ -71,15 +71,9 @@ def _plan_base_config(
     if spec.enabled and spec.plan:
         gated_spec, stages_gated = gate_spec(graph, spec)
         record["stages_gated"] = list(stages_gated)
-        plan = plan_component(
-            graph, spec=gated_spec, requested_lanes=base.bfs_batch_lanes
-        )
-        base = base.ablate(
-            bfs_batch_lanes=plan.batch_lanes,
-            chain_tip_batch=plan.chain_tip_batch,
-        )
+        plan = plan_component(graph, spec=gated_spec)
+        base = base.ablate(chain_tip_batch=plan.chain_tip_batch)
         record["plan"] = {
-            "batch_lanes": plan.batch_lanes,
             "reorder": plan.reorder,
             "estimated_diameter": plan.estimated_diameter,
             "chain_tip_batch": plan.chain_tip_batch,

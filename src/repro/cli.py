@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import get_args
 
 from repro._version import __version__
-from repro.bfs import available_engines
+from repro.bfs import Engine
 from repro.core import FDiamConfig, eccentricity_spectrum, fdiam
 from repro.errors import ReproError
 from repro.graph import degree_summary, read_graph
@@ -64,19 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=available_engines(),
+        choices=get_args(Engine),
         default="parallel",
-        help="BFS engine: vectorized hybrid (default), scalar reference, "
-        "the batched multi-source path, or the bit-parallel lane sweep",
+        help="BFS engine: vectorized hybrid (default) or scalar reference",
     )
     parser.add_argument(
         "--bfs-batch-lanes",
         type=int,
         default=0,
         metavar="K",
-        help="run multi-source waves (Winnow resume, Eliminate extension, "
-        "--spectrum) on the bit-parallel engine, up to K sources per "
-        "shared-gather sweep (0 = scalar path; 64 fills one lane word)",
+        help="run the --spectrum traversals as bit-parallel lane sweeps, "
+        "up to K sources per shared-gather sweep (0 = scalar path; 64 "
+        "fills one lane word)",
     )
     parser.add_argument(
         "--workers",
@@ -820,7 +820,6 @@ def main(argv: list[str] | None = None) -> int:
         use_eliminate=not args.no_eliminate,
         use_chain=not args.no_chain,
         use_max_degree_start=not args.start_vertex_zero,
-        bfs_batch_lanes=args.bfs_batch_lanes,
         prep=args.prep,
         memory_budget=args.memory_budget,
     )
@@ -886,9 +885,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{prep.mirror_closed_groups} closed mirror groups)")
             print(f"  components   : {prep.components_solved} solved, "
                   f"{prep.components_skipped} skipped "
-                  f"({prep.lane_components} lane, "
-                  f"{prep.scalar_components} scalar, "
-                  f"{prep.tip_batch_components} tip-batched)")
+                  f"({prep.tip_batch_components} tip-batched)")
             if prep.reorder_strategies:
                 picked = ", ".join(
                     f"{k}×{v}" for k, v in sorted(prep.reorder_strategies.items())
@@ -946,11 +943,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"({100 * thrash:.1f}% thrash), "
                           f"{format_bytes(int(bandwidth))}/s decode "
                           "bandwidth")
-        reasons = result.stats.lane_fallback_reasons
-        if reasons:
-            print(f"lane fallbacks : {len(reasons)}")
-            for reason in reasons:
-                print(f"  - {reason}")
 
     if args.spectrum:
         if store is not None:

@@ -29,9 +29,10 @@ class FDiamConfig:
     engine:
         ``"parallel"`` (vectorized direction-optimized BFS — the paper's
         OpenMP code) or ``"serial"`` (scalar Python BFS — the paper's
-        serial code). Affects the eccentricity traversals, which
-        dominate the runtime (paper Fig. 8); the pruning passes share
-        one implementation (see DESIGN.md §2).
+        serial code); any other name fails when the run starts. Affects
+        the eccentricity traversals, which dominate the runtime (paper
+        Fig. 8); the pruning passes share one scalar multi-source wave
+        (see DESIGN.md §2).
     use_winnow:
         Enable the Winnow stage (paper §4.2). Disabling reproduces the
         "no Winnow" ablation.
@@ -58,20 +59,6 @@ class FDiamConfig:
         top-down.
     keep_traces:
         Retain per-level BFS traces (needed by the parallel cost model).
-    bfs_batch_lanes:
-        When positive, the multi-source waves of Winnow resume and the
-        Eliminate extension run on the bit-parallel lane machinery
-        (:mod:`repro.bfs.bitparallel`, merged mode) instead of the
-        scalar top-down loop — identical level sets, shared pooled lane
-        matrices. ``0`` (the default) keeps the scalar path. This is
-        the ``--bfs-batch-lanes`` CLI switch.
-    lane_fallback:
-        Let the run drop a requested lane batch back to the scalar path
-        when the cost model advises against it — after the 2-sweep, the
-        initial bound is compared against the model's merged-wave level
-        cap (high-diameter graphs pay lane-word traffic over hundreds of
-        near-empty levels for nothing). ``False`` forces the lanes to
-        stay on regardless, for A/B measurements.
     chain_tip_batch:
         Resolve the chain tips that survive Chain Processing with one
         bit-parallel lane sweep from their anchors instead of one
@@ -128,8 +115,6 @@ class FDiamConfig:
     threshold: float = DEFAULT_THRESHOLD
     directions: bool = True
     keep_traces: bool = False
-    bfs_batch_lanes: int = 0
-    lane_fallback: bool = True
     chain_tip_batch: bool = False
     prep: str = "off"
     memory_budget: int | None = None

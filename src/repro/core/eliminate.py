@@ -10,10 +10,9 @@ recorded value is what the incremental extension of §4.5 keys on.
 The paper runs Eliminate serially even in the parallel code ("Since
 this code tends to only execute a couple of iterations with just a few
 elements on the worklist, F-Diam runs it serially"); this reproduction
-uses the shared partial-BFS level expansion for both engines, which is
-the same level-synchronous computation. Under ``--bfs-batch-lanes`` the
-kernel runs that expansion on the bit-parallel lane machinery (merged
-mode, identical level sets); the call sites here are unchanged.
+uses the shared scalar partial-BFS level expansion
+(:meth:`~repro.bfs.kernel.TraversalKernel.levels`) for both engines,
+which is the same level-synchronous computation.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ handling: the regions around them were already expanded to depth
 that expansion's last level carry bound ``old_bound`` — so they are in
 the seed set and continue the wave exactly where it stopped.
 
-Under ``--bfs-batch-lanes`` the kernel runs this multi-source wave on
-the bit-parallel lane machinery (merged mode, identical level sets);
-the call site here is unchanged.
+The wave is the kernel's scalar top-down :meth:`levels` loop, the same
+primitive Winnow and Eliminate use (see DESIGN.md §8 for why it is not
+run on the 64-lane machinery).
 """
 
 from __future__ import annotations

@@ -270,7 +270,7 @@ def eccentricity_spectrum(
         estimate = model.estimate_diameter(
             n, graph.num_directed_edges, graph.max_degree()
         )
-        ok, reason = model.lane_batch_verdict(estimate, batch_lanes, merged=False)
+        ok, reason = model.lane_batch_verdict(estimate, batch_lanes)
         if not ok:
             batch_lanes = 0
             fell_back = True

@@ -83,7 +83,7 @@ def fdiam(
     With ``config.prep`` set (anything other than ``"off"``), the run
     first goes through the exactness-preserving reduction pipeline of
     :mod:`repro.prep` — pendant-tree peeling, mirror collapsing,
-    per-component reordering and engine planning — and the per-component
+    per-component reordering and chain-tip planning — and the per-component
     results are merged back into one :class:`DiameterResult` carrying
     the identical diameter (and infinity convention) as the plain path.
 
@@ -205,28 +205,6 @@ def fdiam_with_state(
     connected = sweep.visited_from_start == n
     if state.oracle is not None:
         state.oracle.check_stage(state, "two-sweep")
-
-    # With lanes requested, re-check against the cost model now that the
-    # 2-sweep has produced a real diameter lower bound: merged lane
-    # waves lose to the scalar path on high-diameter graphs (road maps),
-    # where the word traffic is spread over hundreds of thin levels.
-    if (
-        config.lane_fallback
-        and config.bfs_batch_lanes > 0
-        and state.kernel.batch_lanes > 0
-    ):
-        # Call-time import: repro.parallel's package init pulls the
-        # scaling study, which itself imports this module.
-        from repro.parallel.costmodel import LevelSynchronousCostModel
-
-        model = LevelSynchronousCostModel()
-        ok, reason = model.lane_batch_verdict(
-            state.bound, config.bfs_batch_lanes, merged=True
-        )
-        if not ok:
-            state.kernel.batch_lanes = 0
-            stats.lane_fallbacks += 1
-            stats.lane_fallback_reasons.append(reason)
 
     # ------------------------------------------------------------------
     # Bulk pruning (Algorithm 1 lines 4-5). A *verified* warm start

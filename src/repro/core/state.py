@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.eccentricity import get_engine
 from repro.bfs.hybrid import BFSResult
 from repro.bfs.kernel import TraversalKernel
 from repro.core.config import FDiamConfig
@@ -84,13 +83,14 @@ class FDiamState:
         #: Winnow, Chain, Eliminate, Extend, eccentricity loop) routes
         #: its traversals through it, sharing one pooled workspace and
         #: the optional deadline (so even a single huge level loop
-        #: aborts within one level of the budget expiring).
+        #: aborts within one level of the budget expiring). An engine
+        #: name outside the kernel's pair fails here, before any BFS.
         self.kernel = TraversalKernel(
             graph,
+            engine=config.engine,
             threshold=config.threshold,
             directions=config.directions,
             deadline=deadline,
-            batch_lanes=config.bfs_batch_lanes,
             memory_budget=config.memory_budget,
             memory_mode=config.memory_mode,
         )
@@ -200,20 +200,15 @@ class FDiamState:
         """Run one counted eccentricity BFS with the configured engine.
 
         Central funnel for every eccentricity traversal of a run: it
-        applies the config's engine, direction threshold, and trace
-        collection, and increments the Table 3 traversal counter. The
-        ``"parallel"`` engine runs directly on the run's pooled kernel;
-        other registered engines resolve through the registry but share
-        the same workspace marks.
+        runs on the run's pooled kernel (engine, direction threshold,
+        and deadline come from the config), collects traces when asked,
+        and increments the Table 3 traversal counter.
         """
-        cfg = self.config
         self.stats.eccentricity_bfs += 1
-        if cfg.engine == "parallel":
-            res = self.kernel.bfs(vertex, record_trace=cfg.keep_traces)
-            if res.trace is not None:
-                self.stats.traces.append(res.trace)
-            return res
-        return get_engine(cfg.engine)(self.graph, vertex, self.marks)
+        res = self.kernel.bfs(vertex, record_trace=self.config.keep_traces)
+        if res.trace is not None:
+            self.stats.traces.append(res.trace)
+        return res
 
     # ------------------------------------------------------------------
     # Queries

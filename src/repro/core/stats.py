@@ -108,8 +108,6 @@ class PrepStats:
     components_total: int = 0
     components_solved: int = 0
     components_skipped: int = 0  # too small to beat the running bound
-    lane_components: int = 0
-    scalar_components: int = 0
     tip_batch_components: int = 0  # chain tips resolved via lane sweeps
     reorder_strategies: dict[str, int] = field(default_factory=dict)
 
@@ -140,15 +138,6 @@ class FDiamStats:
     eccentricity_bfs: int = 0
     winnow_calls: int = 0
     eliminate_calls: int = 0
-
-    #: Times the kernel dropped a requested lane batch back to the
-    #: scalar path because the cost model advised against it.
-    lane_fallbacks: int = 0
-    #: The cost model's verdict for each recorded fallback (same order;
-    #: see :meth:`LevelSynchronousCostModel.lane_batch_verdict`). What
-    #: ``--workspace-stats`` and the bench JSON surface instead of the
-    #: bare count.
-    lane_fallback_reasons: list[str] = field(default_factory=list)
 
     # Bound evolution.
     initial_bound: int = 0
@@ -223,8 +212,6 @@ class FDiamStats:
         self.eccentricity_bfs += other.eccentricity_bfs
         self.winnow_calls += other.winnow_calls
         self.eliminate_calls += other.eliminate_calls
-        self.lane_fallbacks += other.lane_fallbacks
-        self.lane_fallback_reasons.extend(other.lane_fallback_reasons)
         self.bound_updates += other.bound_updates
         self.removed_by += other.removed_by
         for stage in StageTimes._STAGES:

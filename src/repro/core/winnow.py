@@ -89,7 +89,7 @@ def winnow(state: FDiamState, center: int, bound: int) -> int:
         return 0
 
     state.stats.winnow_calls += 1
-    # The ball expansion is the kernel's batched multi-source primitive
+    # The ball expansion is the kernel's scalar multi-source wave
     # resumed from the saved frontier: no new epoch (a dedicated boolean
     # visited array persists across extensions of the one winnow ball)
     # and the frontier is already marked.
@@ -120,8 +120,7 @@ class _BoolMarks:
 
     The winnow ball must stay marked across incremental extensions, so
     it cannot share the run's epoch counter (every ``new_epoch`` would
-    forget it). Duck-types the members :func:`topdown_step` and the
-    bit-parallel merged sweep use.
+    forget it). Duck-types the members :func:`topdown_step` uses.
     """
 
     __slots__ = ("marks", "counter")
@@ -132,6 +131,3 @@ class _BoolMarks:
 
     def visit(self, vertices: np.ndarray | int) -> None:
         self.marks[vertices] = True
-
-    def is_visited(self, vertices: np.ndarray | int) -> np.ndarray:
-        return self.marks[vertices]

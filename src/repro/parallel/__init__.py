@@ -1,6 +1,6 @@
-"""Parallel-execution substrate: chunk scheduling, a simulated chunked
-executor, and the level-synchronous cost model behind the
-thread-scaling study (paper Figure 7). See DESIGN.md §2 for why thread
+"""Parallel-execution substrate: chunk scheduling, sweep executors for
+independent-source fan-outs, and the level-synchronous cost model behind
+the thread-scaling study (paper Figure 7). See DESIGN.md §2 for why thread
 scaling is modeled from measured traces rather than timed directly on
 this single-core machine.
 """
@@ -12,7 +12,6 @@ from repro.parallel.chunking import (
     thread_work,
 )
 from repro.parallel.costmodel import CostModelParams, LevelSynchronousCostModel
-from repro.parallel.executor import ChunkedExecutor, StepAccounting
 from repro.parallel.scaling import (
     PAPER_THREAD_COUNTS,
     MeasuredPoint,
@@ -34,7 +33,6 @@ from repro.parallel.sweep import (
 __all__ = [
     "BitparallelSweepExecutor",
     "ChunkAssignment",
-    "ChunkedExecutor",
     "CostModelParams",
     "ExecutorCounters",
     "LevelSynchronousCostModel",
@@ -45,7 +43,6 @@ __all__ = [
     "ScalingStudy",
     "SerialSweepExecutor",
     "SharedCSR",
-    "StepAccounting",
     "SweepExecutor",
     "SweepInfo",
     "assign_round_robin",

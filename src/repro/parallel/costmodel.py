@@ -93,18 +93,11 @@ class CostModelParams:
     #: counts as hub-heavy for :meth:`.estimate_diameter` — small-world
     #: ``~log n`` scaling instead of mesh/road ``~sqrt n`` scaling.
     hub_skew: float = 4.0
-    #: Largest estimated diameter at which a *dedicated* lane sweep
-    #: (spectrum bounding rounds, 64 sources per word) still beats
-    #: scalar BFS. Beyond it the per-level word traffic over hundreds of
-    #: near-empty levels eats the shared-gather saving.
+    #: Largest estimated diameter at which a lane sweep (spectrum
+    #: bounding rounds, chain-tip batches, 64 sources per word) still
+    #: beats scalar BFS. Beyond it the per-level word traffic over
+    #: hundreds of near-empty levels eats the shared-gather saving.
     lane_level_cap: int = 64
-    #: Same cap for *merged* waves (Winnow resume / Eliminate extension
-    #: inside ``fdiam``), which pay the word traffic but cannot amortize
-    #: a full eccentricity per lane. Calibrated on the pinned analogs:
-    #: the road-map bound (~121) and even the tendril-stretched
-    #: power-law bound (~28) fall back, while low-diameter cores keep
-    #: their lanes.
-    merged_level_cap: int = 16
     #: Minimum fill of the trailing lane word for a sweep to pay off;
     #: 0.125 = at least 8 of 64 lanes in use.
     lane_min_occupancy: float = 0.125
@@ -169,7 +162,7 @@ class CostModelParams:
             raise AlgorithmError("invalid cost model parameters")
         if self.lane_word_rate <= 0:
             raise AlgorithmError("invalid cost model parameters")
-        if self.hub_skew < 1 or self.lane_level_cap < 1 or self.merged_level_cap < 1:
+        if self.hub_skew < 1 or self.lane_level_cap < 1:
             raise AlgorithmError("invalid cost model parameters")
         if not 0 < self.lane_min_occupancy <= 1:
             raise AlgorithmError("invalid cost model parameters")
@@ -325,19 +318,16 @@ class LevelSynchronousCostModel:
         )
         return ReductionGates(peel=peel, collapse=collapse, reorder=reorder)
 
-    def lane_batch_verdict(
-        self, diameter_estimate: int, lanes: int, *, merged: bool = False
-    ) -> tuple[bool, str]:
+    def lane_batch_verdict(self, diameter_estimate: int, lanes: int) -> tuple[bool, str]:
         """:meth:`lane_batch_advisable` plus the *reason* for a veto.
 
-        The reason string is what ``--workspace-stats`` and the bench
-        JSON surface for every recorded lane fallback (a bare count
-        cannot tell a road map that tripped the level cap from a
-        near-empty trailing word), so the vocabulary is small and
-        stable: ``"single lane cannot amortize a sweep"``,
-        ``"lane occupancy F below minimum M"``, and ``"estimated
-        diameter D exceeds [merged] lane level cap C"``. An advisable
-        batch returns ``(True, "")``.
+        The reason string is what the ``--spectrum`` report and the
+        bench JSON surface for a lane fallback (a bare flag cannot tell
+        a road map that tripped the level cap from a near-empty
+        trailing word), so the vocabulary is small and stable:
+        ``"single lane cannot amortize a sweep"``, ``"lane occupancy F
+        below minimum M"``, and ``"estimated diameter D exceeds lane
+        level cap C"``. An advisable batch returns ``(True, "")``.
         """
         if lanes <= 1:
             return False, "single lane cannot amortize a sweep"
@@ -348,29 +338,24 @@ class LevelSynchronousCostModel:
                 f"lane occupancy {occupancy:.3f} below minimum "
                 f"{self.params.lane_min_occupancy:.3f}"
             )
-        cap = self.params.merged_level_cap if merged else self.params.lane_level_cap
+        cap = self.params.lane_level_cap
         if diameter_estimate > cap:
-            kind = "merged lane level cap" if merged else "lane level cap"
             return False, (
-                f"estimated diameter {diameter_estimate} exceeds {kind} {cap}"
+                f"estimated diameter {diameter_estimate} exceeds lane level cap {cap}"
             )
         return True, ""
 
-    def lane_batch_advisable(
-        self, diameter_estimate: int, lanes: int, *, merged: bool = False
-    ) -> bool:
+    def lane_batch_advisable(self, diameter_estimate: int, lanes: int) -> bool:
         """Whether a ``lanes``-source sweep should beat the scalar path.
 
         Two gates, matching the two ways lane sweeps lose in practice:
         the expected level count (``diameter_estimate`` against
-        :attr:`~CostModelParams.lane_level_cap` /
-        :attr:`~CostModelParams.merged_level_cap` for ``merged`` waves),
-        and the fill of the trailing lane word (fewer than
-        ``lane_min_occupancy * 64`` sources per word cannot amortize
-        the per-level sweep overhead). :meth:`lane_batch_verdict` is the
+        :attr:`~CostModelParams.lane_level_cap`), and the fill of the
+        trailing lane word (fewer than ``lane_min_occupancy * 64``
+        sources per word cannot amortize the per-level sweep overhead). :meth:`lane_batch_verdict` is the
         same gate with the veto reason attached.
         """
-        ok, _ = self.lane_batch_verdict(diameter_estimate, lanes, merged=merged)
+        ok, _ = self.lane_batch_verdict(diameter_estimate, lanes)
         return ok
 
     def choose_backend(

@@ -15,8 +15,8 @@ equality with the plain path:
   of the reduced graph + whole tree components the peel absorbed.
 
 Per component the planner may reorder vertices (locality only;
-diameters are permutation-invariant) and pick scalar vs bit-parallel
-lanes; components too small to beat the running bound are skipped
+diameters are permutation-invariant) and turn on chain-tip lane
+batching; components too small to beat the running bound are skipped
 outright (a component of ``s`` vertices has diameter at most
 ``s - 1``).
 """
@@ -163,34 +163,22 @@ def fdiam_prepped(
     if spec.plan and not (spec.peel or spec.collapse or spec.reorder != "off"):
         # Every structural stage was vetoed: skip the reductions and the
         # component split entirely (plain fdiam is exact on disconnected
-        # graphs too) and keep only the planner's engine verdict, so
+        # graphs too) and keep only the planner's chain-tip verdict, so
         # e.g. low-diameter graphs retain the chain-tip lane batching
         # without paying a single O(n + m) reduction pass.
         prep_stats = PrepStats(
             stages=requested.tokens, stages_gated=stages_gated
         )
         with_timer = time.perf_counter()
-        plan = plan_component(
-            graph,
-            spec=spec,
-            requested_lanes=base_config.bfs_batch_lanes,
-            model=model,
-        )
+        plan = plan_component(graph, spec=spec, model=model)
         prep_stats.components_total = 1
         prep_stats.components_solved = 1
-        if plan.batch_lanes > 0:
-            prep_stats.lane_components += 1
-        else:
-            prep_stats.scalar_components += 1
         if plan.chain_tip_batch:
             prep_stats.tip_batch_components += 1
         plan_elapsed = time.perf_counter() - with_timer
         result, _ = fdiam_with_state(
             graph,
-            base_config.ablate(
-                bfs_batch_lanes=plan.batch_lanes,
-                chain_tip_batch=plan.chain_tip_batch,
-            ),
+            base_config.ablate(chain_tip_batch=plan.chain_tip_batch),
             deadline=deadline,
         )
         result.stats.prep = prep_stats
@@ -234,12 +222,7 @@ def fdiam_prepped(
                     comp_graph = induced_subgraph(
                         work, components.vertices_of(comp)
                     ).graph
-                plan = plan_component(
-                    comp_graph,
-                    spec=spec,
-                    requested_lanes=base_config.bfs_batch_lanes,
-                    model=model,
-                )
+                plan = plan_component(comp_graph, spec=spec, model=model)
                 if plan.reorder in ORDER_STRATEGIES:
                     prep_stats.edge_span_before += edge_span(comp_graph)
                     reordering = apply_order(
@@ -250,18 +233,11 @@ def fdiam_prepped(
                     prep_stats.reorder_strategies[plan.reorder] = (
                         prep_stats.reorder_strategies.get(plan.reorder, 0) + 1
                     )
-                if plan.batch_lanes > 0:
-                    prep_stats.lane_components += 1
-                else:
-                    prep_stats.scalar_components += 1
                 if plan.chain_tip_batch:
                     prep_stats.tip_batch_components += 1
             sub_result, _ = fdiam_with_state(
                 comp_graph,
-                base_config.ablate(
-                    bfs_batch_lanes=plan.batch_lanes,
-                    chain_tip_batch=plan.chain_tip_batch,
-                ),
+                base_config.ablate(chain_tip_batch=plan.chain_tip_batch),
                 deadline=deadline,
             )
             prep_stats.components_solved += 1

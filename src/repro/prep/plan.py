@@ -8,10 +8,9 @@
 :func:`plan_component` is the per-component decision point: given one
 connected component of the reduced graph, it consults the structural
 side of :class:`~repro.parallel.costmodel.LevelSynchronousCostModel`
-(estimated diameter, degree skew, lane occupancy) to pick the engine —
-bit-parallel lane waves versus scalar — the reorder strategy
+(estimated diameter, degree skew) to pick the reorder strategy
 (degree-descending for hub-heavy components, BFS level order for
-mesh-like ones), and whether surviving chain tips are resolved through
+mesh-like ones) and whether surviving chain tips are resolved through
 the bit-parallel anchor sweep
 (:func:`repro.core.chain.batch_tip_eccentricities`).
 """
@@ -102,7 +101,6 @@ class PrepSpec:
 class ComponentPlan:
     """Planner verdict for one connected component."""
 
-    batch_lanes: int
     reorder: str
     estimated_diameter: int
     chain_tip_batch: bool = False
@@ -112,17 +110,13 @@ def plan_component(
     graph: CSRGraph,
     *,
     spec: PrepSpec,
-    requested_lanes: int,
     model: LevelSynchronousCostModel | None = None,
 ) -> ComponentPlan:
-    """Pick engine, reorder strategy, and tip batching for one component.
+    """Pick the reorder strategy and tip batching for one component.
 
-    ``requested_lanes`` is the run's ``bfs_batch_lanes``; when the
-    ``plan`` stage is on and the cost model advises against merged lane
-    waves for this component's estimated diameter, it is zeroed (the
-    scalar engine). The ``auto`` reorder strategy resolves to ``degree``
-    for hub-heavy components and BFS level order for mesh-like ones,
-    using the model's skew threshold (RCM stays available explicitly,
+    The ``auto`` reorder strategy resolves to ``degree`` for hub-heavy
+    components and BFS level order for mesh-like ones, using the
+    model's skew threshold (RCM stays available explicitly,
     but its reversal scrambles the id scan F-Diam's main loop relies
     on, measurably inflating the traversal count on road meshes).
     ``plan`` also decides chain-tip batching: profitable exactly when a
@@ -135,14 +129,7 @@ def plan_component(
     estimate = model.estimate_diameter(
         graph.num_vertices, graph.num_directed_edges, max_degree
     )
-    lanes = requested_lanes
-    if spec.plan and lanes > 0 and not model.lane_batch_advisable(
-        estimate, lanes, merged=True
-    ):
-        lanes = 0
-    tip_batch = spec.plan and model.lane_batch_advisable(
-        estimate, LANE_WIDTH, merged=False
-    )
+    tip_batch = spec.plan and model.lane_batch_advisable(estimate, LANE_WIDTH)
     strategy = spec.reorder
     if strategy == "auto":
         average = max(graph.average_degree(), 1e-12)
@@ -150,7 +137,6 @@ def plan_component(
             "degree" if max_degree >= model.params.hub_skew * average else "bfs"
         )
     return ComponentPlan(
-        batch_lanes=lanes,
         reorder=strategy,
         estimated_diameter=estimate,
         chain_tip_batch=tip_batch,

@@ -43,20 +43,14 @@ __all__ = [
 
 
 #: The full configuration lattice a trial sweeps: engines × prep ×
-#: lanes × ablations × order. Cache warm/cold and the query engine are
-#: exercised separately in :func:`run_trial` (they need a store and a
-#: query batch, not just a config).
+#: chain-tip lanes × ablations × order. Cache warm/cold and the query
+#: engine are exercised separately in :func:`run_trial` (they need a
+#: store and a query batch, not just a config).
 CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
     ("fdiam/par", FDiamConfig()),
     ("fdiam/ser", FDiamConfig(engine="serial")),
-    ("fdiam/bitparallel", FDiamConfig(engine="bitparallel")),
-    ("fdiam/par+lanes", FDiamConfig(bfs_batch_lanes=64, lane_fallback=False)),
     ("fdiam/par+prep", FDiamConfig(prep="auto")),
     ("fdiam/ser+prep", FDiamConfig(engine="serial", prep="auto")),
-    (
-        "fdiam/par+prep+lanes",
-        FDiamConfig(prep="auto", bfs_batch_lanes=64, lane_fallback=False),
-    ),
     ("fdiam/par+tip-batch", FDiamConfig(chain_tip_batch=True)),
     ("fdiam/random-order", FDiamConfig(order="random", seed=7)),
     ("fdiam/no-winnow", FDiamConfig(use_winnow=False)),

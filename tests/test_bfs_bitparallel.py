@@ -3,11 +3,11 @@
 Covers the primitive (``segmented_or``), the lane sweep against the
 scalar reference oracle across awkward lane counts (1, 63, 64, 65,
 130 — one bit, a nearly-full word, exactly one word, word + 1 bit, and
-three words), merged-mode equality with the scalar multi-source wave
-(including winnow-style resumed boolean marks), the routed consumers
+three words), the scalar multi-source wave the lanes sit beside
+(winnow-style resumed boolean marks, early stop), the routed consumers
 (``all_eccentricities``, the eccentricity spectrum, SumSweep and
-Takes–Kosters), the workspace lane-buffer pool, and the headline
-edge-gather saving on a power-law graph.
+Takes–Kosters, ``fdiam`` chain-tip batching), the workspace lane-buffer
+pool, and the headline edge-gather saving on a power-law graph.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.sumsweep import sumsweep_diameter
 from repro.baselines.takes_kosters import bounding_diameters
-from repro.bfs import available_engines
 from repro.bfs.bitparallel import (
     LANE_WIDTH,
     lane_distances,
@@ -144,47 +143,34 @@ class TestLaneSweepVsSerial:
 
 
 class TestMergedMode:
-    def test_levels_match_scalar_wave(self):
-        g = random_graph(120, 260, seed=3)
-        lanes_kernel = TraversalKernel(g, batch_lanes=64)
-        plain_kernel = TraversalKernel(g)
-        for sources in ([0], [5, 9, 40], list(range(70))):
-            a = lanes_kernel.levels(sources, 5)
-            b = plain_kernel.levels(sources, 5)
-            assert len(a) == len(b)
-            for la, lb in zip(a, b):
-                np.testing.assert_array_equal(np.sort(la), np.sort(lb))
+    """The scalar multi-source wave that the fdiam pruning passes run."""
 
     def test_resumed_bool_marks(self):
         # The winnow-resume pattern: a persistent boolean ball expanded
         # in two increments, pre-visited vertices never rediscovered.
         g = path_graph(12)
-        for batch_lanes in (0, 64):
-            kernel = TraversalKernel(g, batch_lanes=batch_lanes)
-            visited = np.zeros(12, dtype=bool)
-            visited[[5, 6]] = True
-            first = kernel.levels(
-                [5, 6], 2, marks=_BoolMarks(visited), new_epoch=False,
-                mark_sources=False,
-            )
-            assert [lv.tolist() for lv in first] == [[4, 7], [3, 8]]
-            second = kernel.levels(
-                first[-1], 2, marks=_BoolMarks(visited), new_epoch=False,
-                mark_sources=False,
-            )
-            assert [lv.tolist() for lv in second] == [[2, 9], [1, 10]]
+        kernel = TraversalKernel(g)
+        visited = np.zeros(12, dtype=bool)
+        visited[[5, 6]] = True
+        first = kernel.levels(
+            [5, 6], 2, marks=_BoolMarks(visited), new_epoch=False,
+            mark_sources=False,
+        )
+        assert [lv.tolist() for lv in first] == [[4, 7], [3, 8]]
+        second = kernel.levels(
+            first[-1], 2, marks=_BoolMarks(visited), new_epoch=False,
+            mark_sources=False,
+        )
+        assert [lv.tolist() for lv in second] == [[2, 9], [1, 10]]
 
     def test_on_level_early_stop(self):
         g = path_graph(10)
-        kernel = TraversalKernel(g, batch_lanes=64)
+        kernel = TraversalKernel(g)
         levels = kernel.levels([0], None, on_level=lambda depth, fresh: depth < 2)
         assert len(levels) == 2
 
 
 class TestRoutedConsumers:
-    def test_bitparallel_engine_registered(self):
-        assert "bitparallel" in available_engines()
-
     def test_all_eccentricities_batched(self):
         g = random_graph(90, 160, seed=5, extra_isolated=2)
         ref = all_eccentricities(g)
@@ -212,18 +198,21 @@ class TestRoutedConsumers:
             assert fn(g, batch_lanes=64).diameter == fn(g).diameter
 
     def test_fdiam_with_lanes(self):
+        # fdiam's one lane consumer: chain tips resolved by anchor sweeps.
         from repro.core.config import FDiamConfig
         from repro.core.fdiam import fdiam
 
-        g = barabasi_albert(150, 2, seed=6)
-        ref = fdiam(g).diameter
-        assert fdiam(g, config=FDiamConfig(bfs_batch_lanes=64)).diameter == ref
+        g = barabasi_albert(150, 1, seed=6)  # a tree: every leaf is a tip
+        ref = fdiam(g)
+        lanes = fdiam(g, config=FDiamConfig(chain_tip_batch=True))
+        assert lanes.diameter == ref.diameter
+        assert lanes.stats.workspace.lane_requests > 0
 
 
 class TestLanePool:
     def test_reuse_hits(self):
         g = barabasi_albert(100, 2, seed=1)
-        kernel = TraversalKernel(g, batch_lanes=64)
+        kernel = TraversalKernel(g)
         for _ in range(4):
             kernel.levels_batched64([0, 5, 9])
         stats = kernel.workspace.stats

@@ -10,10 +10,8 @@ from repro.bfs import (
     TraversalCounter,
     all_eccentricities,
     eccentricity,
-    get_engine,
-    run_bfs,
-    serial_bfs,
 )
+from repro.errors import AlgorithmError
 from repro.generators import path_graph, star_graph
 
 
@@ -25,12 +23,28 @@ class TestEccentricity:
         assert eccentricity(g, 4, engine=engine) == 4
 
     def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("gpu")
+        g = path_graph(3)
+        with pytest.raises(AlgorithmError, match="engine must be"):
+            eccentricity(g, 0, engine="gpu")
+        with pytest.raises(AlgorithmError, match="engine must be"):
+            all_eccentricities(g, engine="batched")
 
-    def test_engine_dispatch(self):
-        assert get_engine("parallel") is run_bfs
-        assert get_engine("serial") is serial_bfs
+    def test_engine_dispatch(self, monkeypatch):
+        # "serial" runs the scalar reference loop; "parallel" never does.
+        import repro.bfs.reference as reference
+
+        sources = []
+        real = reference.serial_bfs
+
+        def spy(graph, source, *args, **kwargs):
+            sources.append(source)
+            return real(graph, source, *args, **kwargs)
+
+        monkeypatch.setattr(reference, "serial_bfs", spy)
+        g = path_graph(5)
+        assert eccentricity(g, 1, engine="serial") == 3
+        assert eccentricity(g, 2, engine="parallel") == 2
+        assert sources == [1]
 
 
 class TestAllEccentricities:

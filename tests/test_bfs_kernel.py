@@ -105,12 +105,18 @@ class TestKernelBFS:
     def test_deadline_aborts_mid_traversal(self):
         # One single long traversal must abort at a level boundary, not
         # only between BFS calls: the deadline is already expired when
-        # the (only) BFS starts.
-        kernel = TraversalKernel(
-            path_graph(2000), deadline=time.perf_counter() - 1.0
-        )
-        with pytest.raises(BenchmarkTimeout):
-            kernel.bfs(0)
+        # the (only) BFS starts. Both engines check it per level.
+        for engine in ("parallel", "serial"):
+            kernel = TraversalKernel(
+                path_graph(2000), engine=engine, deadline=time.perf_counter() - 1.0
+            )
+            with pytest.raises(BenchmarkTimeout):
+                kernel.bfs(0)
+
+    @pytest.mark.parametrize("engine", ["batched", "bitparallel", "gpu", ""])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(AlgorithmError, match="engine must be"):
+            TraversalKernel(path_graph(3), engine=engine)
 
     def test_deadline_aborts_levels_and_wave(self):
         kernel = TraversalKernel(
@@ -155,27 +161,6 @@ class TestKernelBFS:
         assert kernel.ball(0, 1).tolist() == list(range(7))
         assert kernel.ball(3, 1).tolist() == [0, 3]
         assert kernel.ball(3, 1, include_center=False).tolist() == [0]
-
-
-class TestBatchedEngine:
-    def test_isolated_source(self):
-        g = path_graph(3)
-        union = TraversalKernel(
-            g, engine="batched"
-        )  # engine choice is per-kernel
-        res = union.bfs(2)
-        assert res.eccentricity == 2
-        assert res.visited_count == 3
-
-    def test_single_vertex_graph(self):
-        from repro.graph import from_edge_arrays
-
-        g = from_edge_arrays([], [], num_vertices=1)
-        res = TraversalKernel(g, engine="batched").bfs(0, record_dist=True)
-        assert res.eccentricity == 0
-        assert res.visited_count == 1
-        assert res.last_frontier.tolist() == [0]
-        assert res.dist.tolist() == [0]
 
 
 class TestStaggeredWave:

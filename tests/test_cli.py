@@ -54,6 +54,13 @@ class TestMain:
         assert main([grid_file, "--engine", "serial"]) == 0
         assert "diameter : 18" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["batched", "bitparallel"])
+    def test_removed_engine_rejected(self, grid_file, capsys, engine):
+        with pytest.raises(SystemExit) as exc:
+            main([grid_file, "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_ablation_flags_same_answer(self, grid_file, capsys):
         assert main([grid_file, "--no-winnow", "--no-chain"]) == 0
         assert "diameter : 18" in capsys.readouterr().out

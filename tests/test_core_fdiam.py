@@ -221,6 +221,28 @@ class TestDeadline:
         with pytest.raises(BenchmarkTimeout):
             fdiam(g, deadline=time.perf_counter() - 1.0)
 
+    def test_serial_engine_aborts_inside_first_bfs(self):
+        # The deadline reaches the scalar engine's level loop: an expired
+        # budget aborts the very first 2-sweep traversal.
+        import time
+
+        from repro.core.state import FDiamState
+        from repro.core.sweep import two_sweep
+
+        state = FDiamState(
+            path_graph(3000),
+            FDiamConfig(engine="serial"),
+            deadline=time.perf_counter() - 1.0,
+        )
+        with pytest.raises(BenchmarkTimeout):
+            two_sweep(state, 0)
+        assert state.stats.eccentricity_bfs == 1
+
+    @pytest.mark.parametrize("engine", ["batched", "bitparallel", "gpu"])
+    def test_unknown_engine_fails_before_any_bfs(self, engine):
+        with pytest.raises(AlgorithmError, match="engine must be"):
+            fdiam(path_graph(10), FDiamConfig(engine=engine))
+
     def test_generous_deadline_completes(self):
         import time
 

@@ -1,21 +1,25 @@
-"""Property-based equivalence of ALL registered traversal engines.
+"""Property-based equivalence of the traversal engines and read-outs.
 
-The engine registry now spans three structurally different code paths —
-the vectorized direction-optimized hybrid ("parallel"), the scalar
-reference ("serial"), and the batched multi-source machinery driven
-with a single source ("batched"). Whatever engine a
-:class:`~repro.bfs.kernel.TraversalKernel` is configured with, the
-observable results must be identical on every graph and source:
-eccentricity, visited count, the full distance array, and the set of
-deepest vertices. The strategies deliberately include disconnected
-graphs (random edge soups and explicit disjoint unions of generator
-graphs) because the multi-source path degrades differently there.
+A :class:`~repro.bfs.kernel.TraversalKernel` runs single-source BFS on
+one of two engines — the vectorized direction-optimized hybrid
+("parallel") and the scalar reference ("serial"). Whichever it is
+configured with, the observable results must be identical on every
+graph and source: eccentricity, visited count, the full distance array,
+and the set of deepest vertices. The two multi-source primitives driven
+with a single source — the scalar level wave (:meth:`levels`) and one
+lane of the bit-parallel sweep (:meth:`levels_batched64`) — are
+structurally independent code paths and must yield the same distances.
+The strategies deliberately include disconnected graphs (random edge
+soups and explicit disjoint unions of generator graphs) because the
+multi-source paths degrade differently there.
 """
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from typing import get_args
 
-from repro.bfs import TraversalKernel, available_engines, serial_distances
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.bfs import Engine, TraversalKernel, serial_distances
 from repro.generators import barabasi_albert, broom, grid_2d, lollipop
 from repro.graph import from_edge_arrays
 
@@ -69,6 +73,34 @@ def generator_graph(draw):
     return g
 
 
+ENGINES = get_args(Engine)
+
+
+def _levels_dist(g, source, cap):
+    """Distances from the scalar multi-source wave driven with one source."""
+    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    dist[source] = 0
+    for depth, level in enumerate(TraversalKernel(g).levels([source], cap), 1):
+        dist[level] = depth
+    return dist
+
+
+def _lane_dist(g, source, cap):
+    """Distances from one lane of the bit-parallel sweep."""
+    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    dist[source] = 0
+
+    def record(depth, fresh, _words):
+        dist[fresh] = depth
+
+    TraversalKernel(g).levels_batched64([source], cap, on_level=record)
+    return dist
+
+
+#: Single-source distance read-outs of the multi-source primitives.
+READOUTS = {"levels": _levels_dist, "levels_batched64": _lane_dist}
+
+
 @st.composite
 def graph_and_source(draw):
     g = draw(generator_graph())
@@ -77,14 +109,18 @@ def graph_and_source(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(graph_and_source())
+@example((from_edge_arrays([], [], num_vertices=1), 0))  # single vertex
+@example((from_edge_arrays([0, 1], [1, 2], num_vertices=4), 3))  # isolated
 def test_all_registered_engines_equivalent(pair):
     g, source = pair
     reference = serial_distances(g, source)
     results = {
         engine: TraversalKernel(g, engine=engine).bfs(source, record_dist=True)
-        for engine in available_engines()
+        for engine in ENGINES
     }
-    assert set(results) >= {"parallel", "serial", "batched"}
+    assert set(results) == {"parallel", "serial"}
+    for name, readout in READOUTS.items():
+        np.testing.assert_array_equal(readout(g, source, None), reference, name)
     for engine, res in results.items():
         assert res.eccentricity == int(max(reference.max(), 0)), engine
         assert res.visited_count == int(np.count_nonzero(reference >= 0)), engine
@@ -102,7 +138,10 @@ def test_all_engines_agree_on_level_caps(pair, cap):
     g, source = pair
     reference = serial_distances(g, source)
     expected_visited = int(np.count_nonzero((reference >= 0) & (reference <= cap)))
-    for engine in available_engines():
+    capped = np.where(reference <= cap, reference, -1)
+    for name, readout in READOUTS.items():
+        np.testing.assert_array_equal(readout(g, source, cap), capped, name)
+    for engine in ENGINES:
         res = TraversalKernel(g, engine=engine).bfs(source, max_level=cap)
         assert res.visited_count == expected_visited, engine
         assert res.eccentricity == min(cap, int(max(reference.max(), 0))), engine
@@ -112,7 +151,7 @@ def test_all_engines_agree_on_level_caps(pair, cap):
 @given(generator_graph())
 def test_engines_agree_on_all_eccentricities(g):
     per_engine = []
-    for engine in available_engines():
+    for engine in ENGINES:
         kernel = TraversalKernel(g, engine=engine)
         per_engine.append([kernel.eccentricity(v) for v in range(g.num_vertices)])
     for eccs in per_engine[1:]:

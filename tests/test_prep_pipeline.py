@@ -98,42 +98,29 @@ class TestPlanner:
     def test_low_diameter_component_gets_tip_batch(self):
         # Hub-heavy, low estimated diameter: lane-mode tip batching pays.
         graph = star_graph(200)
-        plan = plan_component(
-            graph, spec=PrepSpec.parse("auto"), requested_lanes=0
-        )
+        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
         assert plan.chain_tip_batch
         assert plan.reorder == "degree"  # hub skew picks degree order
 
     def test_high_diameter_component_stays_scalar(self):
-        # A long path: estimated diameter blows the lane level caps, so
-        # both merged lanes and tip batching are vetoed.
+        # A long path: estimated diameter blows the lane level cap, so
+        # tip batching is vetoed.
         graph = path_graph(3000)
-        plan = plan_component(
-            graph, spec=PrepSpec.parse("auto"), requested_lanes=64
-        )
-        assert plan.batch_lanes == 0
+        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
         assert not plan.chain_tip_batch
         assert plan.reorder == "bfs"  # low skew picks BFS level order
 
     def test_without_plan_stage_nothing_is_second_guessed(self):
         graph = path_graph(3000)
-        plan = plan_component(
-            graph, spec=PrepSpec.parse("reorder=rcm"), requested_lanes=64
-        )
-        assert plan.batch_lanes == 64  # planner off: request passes through
-        assert not plan.chain_tip_batch
+        plan = plan_component(graph, spec=PrepSpec.parse("reorder=rcm"))
+        assert not plan.chain_tip_batch  # planner off: no tip batching
         assert plan.reorder == "rcm"
 
     def test_model_threshold_is_respected(self):
         # With a huge level cap the veto disappears for the same graph.
         graph = path_graph(3000)
-        model = LevelSynchronousCostModel(
-            CostModelParams(lane_level_cap=10**6, merged_level_cap=10**6)
-        )
-        plan = plan_component(
-            graph, spec=PrepSpec.parse("auto"), requested_lanes=64, model=model
-        )
-        assert plan.batch_lanes == 64
+        model = LevelSynchronousCostModel(CostModelParams(lane_level_cap=10**6))
+        plan = plan_component(graph, spec=PrepSpec.parse("auto"), model=model)
         assert plan.chain_tip_batch
 
 

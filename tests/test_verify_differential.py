@@ -45,10 +45,10 @@ class TestTrialCleanliness:
         labels = {label for label, _config in CONFIG_LATTICE}
         # Engines, prep, lanes, order, and each ablation must all appear.
         for expected in (
+            "fdiam/par",
             "fdiam/ser",
-            "fdiam/bitparallel",
             "fdiam/par+prep",
-            "fdiam/par+lanes",
+            "fdiam/par+tip-batch",
             "fdiam/random-order",
             "fdiam/no-winnow",
             "fdiam/no-elim",
@@ -58,7 +58,8 @@ class TestTrialCleanliness:
         configs = [config for _label, config in CONFIG_LATTICE]
         assert any(not c.use_winnow for c in configs)
         assert any(c.prep != "off" for c in configs)
-        assert any(c.bfs_batch_lanes > 0 for c in configs)
+        assert any(c.chain_tip_batch for c in configs)
+        assert {c.engine for c in configs} == {"parallel", "serial"}
 
     def test_trial_detects_injected_fault(self):
         # A trial (not just a bare fdiam call) must surface the fault

@@ -24,7 +24,7 @@ CONFIGS = [
     FDiamConfig(verify=True, use_winnow=False),
     FDiamConfig(verify=True, use_eliminate=False),
     FDiamConfig(verify=True, use_chain=False),
-    FDiamConfig(verify=True, bfs_batch_lanes=64),
+    FDiamConfig(verify=True, chain_tip_batch=True),
 ]
 
 

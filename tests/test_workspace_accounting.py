@@ -2,8 +2,8 @@
 
 Covers the ``owned_bytes`` resident-memory view, the double-release
 guards on the distance/lane pools, the claim-flag restore contract,
-``edges_examined`` parity between engines, and the cost-model-driven
-lane fallback in both ``fdiam`` and the eccentricity spectrum.
+``edges_examined`` accounting of the spectrum, and the cost-model-driven
+lane fallback of the eccentricity spectrum.
 """
 
 from __future__ import annotations
@@ -135,16 +135,6 @@ class TestPoolGuards:
 
 
 class TestEdgeParity:
-    def test_engines_agree_on_edges_examined(self):
-        graph = grid_2d(16, 16)
-        plain = fdiam(graph)
-        lanes = fdiam(graph, FDiamConfig(bfs_batch_lanes=64))
-        # The cost model falls back to scalar on this high-diameter
-        # mesh, so the two runs must do identical work.
-        assert lanes.stats.lane_fallbacks >= 1
-        assert lanes.stats.edges_examined == plain.stats.edges_examined
-        assert lanes.stats.bfs_traversals == plain.stats.bfs_traversals
-
     def test_spectrum_counts_edges(self):
         spec = eccentricity_spectrum(cycle_graph(20))
         assert spec.edges_examined > 0
@@ -152,11 +142,6 @@ class TestEdgeParity:
 
 
 class TestLaneFallback:
-    def test_fdiam_records_fallbacks(self):
-        res = fdiam(path_graph(2000), FDiamConfig(bfs_batch_lanes=64))
-        assert res.stats.lane_fallbacks >= 1
-        assert res.diameter == 1999
-
     def test_spectrum_fallback_flag(self):
         # High estimated diameter: the model vetoes the requested lanes
         # (a 2000-path estimates ~68 levels, past the 64-level cap).
@@ -178,7 +163,7 @@ class TestLaneFallback:
         est = model.estimate_diameter(
             graph.num_vertices, graph.num_directed_edges, graph.max_degree()
         )
-        assert model.lane_batch_advisable(est, 64, merged=False)
+        assert model.lane_batch_advisable(est, 64)
         spec = eccentricity_spectrum(graph, batch_lanes=64)
         assert not spec.lane_fallback
         assert spec.diameter == 2
