@@ -347,10 +347,8 @@ def _stage_fdiam_scsr(graph, repeats):
     }
 
 
-def _stage_sumsweep(graph, repeats, lanes):
-    wall, res = _timed(
-        lambda: sumsweep_diameter(graph, batch_lanes=lanes), repeats
-    )
+def _stage_sumsweep(graph, repeats):
+    wall, res = _timed(lambda: sumsweep_diameter(graph), repeats)
     return {
         "wall_s": wall,
         "bfs_count": res.bfs_traversals,
@@ -625,8 +623,7 @@ STAGES = {
     "query_service_load": (_stage_query_service_load, True),
     "spectrum_scalar": (lambda g, r: _stage_spectrum(g, r, 0), False),
     "spectrum_lanes64": (lambda g, r: _stage_spectrum(g, r, 64), True),
-    "sumsweep_scalar": (lambda g, r: _stage_sumsweep(g, r, 0), False),
-    "sumsweep_lanes64": (lambda g, r: _stage_sumsweep(g, r, 64), True),
+    "sumsweep_scalar": (_stage_sumsweep, False),
     "scaling_curve": (_stage_scaling_curve, True),
     "store_compress": (_stage_store_compress, True),
     "fdiam_scsr": (_stage_fdiam_scsr, True),

@@ -8,7 +8,7 @@ run multiple rounds, unlike the single-shot experiment reproductions).
 
 import pytest
 
-from repro.bfs import TraversalKernel, VisitMarks, run_bfs, serial_bfs
+from repro.bfs import TraversalKernel, VisitMarks, serial_bfs
 from repro.core import FDiamConfig, FDiamState, fdiam, winnow
 from repro.harness import get_workload
 
@@ -25,8 +25,8 @@ def road_graph():
 
 @pytest.mark.benchmark(group="micro-bfs")
 def test_vectorized_bfs_powerlaw(benchmark, powerlaw_graph):
-    marks = VisitMarks(powerlaw_graph.num_vertices)
-    result = benchmark(run_bfs, powerlaw_graph, 0, marks)
+    kernel = TraversalKernel(powerlaw_graph)
+    result = benchmark(kernel.bfs, 0)
     assert result.eccentricity > 0
 
 
@@ -39,8 +39,8 @@ def test_serial_bfs_powerlaw(benchmark, powerlaw_graph):
 
 @pytest.mark.benchmark(group="micro-bfs")
 def test_vectorized_bfs_road(benchmark, road_graph):
-    marks = VisitMarks(road_graph.num_vertices)
-    result = benchmark(run_bfs, road_graph, 0, marks)
+    kernel = TraversalKernel(road_graph)
+    result = benchmark(kernel.bfs, 0)
     assert result.eccentricity > 0
 
 
@@ -64,7 +64,7 @@ def test_kernel_pooled_bfs_powerlaw(benchmark, powerlaw_graph):
 @pytest.mark.benchmark(group="micro-winnow")
 def test_winnow_partial_bfs(benchmark, powerlaw_graph):
     u = powerlaw_graph.max_degree_vertex()
-    bound = run_bfs(powerlaw_graph, u).eccentricity * 2
+    bound = TraversalKernel(powerlaw_graph).bfs(u).eccentricity * 2
 
     def do_winnow():
         state = FDiamState(powerlaw_graph, FDiamConfig())

@@ -63,23 +63,13 @@ class BaselineContext:
         graph: CSRGraph,
         engine: Engine = "parallel",
         deadline: float | None = None,
-        batch_lanes: int = 0,
-        workers: int = 1,
     ):
         if graph.num_vertices == 0:
             raise AlgorithmError("diameter of an empty graph is undefined")
-        if workers < 1:
-            raise AlgorithmError(f"workers must be >= 1, got {workers}")
         self.graph = graph
-        self.engine_name = engine
         self.deadline = deadline
-        self.batch_lanes = batch_lanes
-        self.workers = workers
         self.bfs_count = 0
         self.kernel = TraversalKernel(graph, engine=engine, deadline=deadline)
-        self.marks = self.kernel.workspace.marks
-        self._executor = None
-        self._executor_vetoed = False
 
     def check_deadline(self) -> None:
         """Raise :class:`BenchmarkTimeout` once the deadline has passed."""
@@ -94,59 +84,9 @@ class BaselineContext:
         self.bfs_count += 1
         return self.kernel.bfs(source, record_dist=record_dist)
 
-    def executor(self):
-        """The context's lazily built sweep executor, or ``None``.
-
-        A single-worker lane request pins the ``bitparallel`` backend
-        (exactly the pre-executor behaviour); a worker team goes
-        through ``"auto"``. When auto resolves to the ``serial``
-        backend the batched rounds would degrade the drivers' careful
-        alternating selection to rounds of one, so the executor is
-        vetoed and the callers fall back to their scalar loops.
-        """
-        if self._executor is None and not self._executor_vetoed:
-            ex = self.kernel.sweep_executor(
-                workers=self.workers,
-                batch_lanes=self.batch_lanes if self.batch_lanes > 0 else 64,
-                backend="bitparallel" if self.workers <= 1 else "auto",
-            )
-            if ex.backend == "serial":
-                ex.close()
-                self._executor_vetoed = True
-            else:
-                self._executor = ex
-        return self._executor
-
-    @property
-    def sweep_batch(self) -> int:
-        """Sources per batched bounding round; 0 keeps the scalar loop."""
-        if self.batch_lanes <= 0 and self.workers <= 1:
-            return 0
-        ex = self.executor()
-        return ex.round_size if ex is not None else 0
-
-    def run_batch(self, sources):
-        """One counted sweep round: exact distances from every source.
-
-        Counts one BFS per source (the lanes are full logical
-        traversals; only the edge gathers — and, with a worker team,
-        the processes — are shared). Returns the ``(k, n)`` distance
-        matrix and the round's
-        :class:`~repro.parallel.sweep.SweepInfo`.
-        """
-        self.check_deadline()
-        self.bfs_count += len(sources)
-        return self.executor().distance_rows(sources)
-
     def release_dist(self, dist) -> None:
         """Recycle a finished distance buffer into the workspace pool."""
         self.kernel.workspace.release_dist(dist)
-
-    def close(self) -> None:
-        """Shut down the sweep executor (worker pool, shm segments)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
 
     def result(self, algorithm: str, diameter: int, connected: bool) -> BaselineResult:
         """Package a finished run."""

@@ -81,7 +81,6 @@ def _component_diameter(
         refine(int(ids[int(np.argmax(dist_sum[ids]))]))
 
     # --- Bounding phase ------------------------------------------------
-    batch = ctx.sweep_batch
     while True:
         unresolved = in_comp & (ecc_ub > diam_lb) & (ecc_lb != ecc_ub)
         settled = in_comp & (ecc_lb == ecc_ub)
@@ -92,24 +91,6 @@ def _component_diameter(
             return diam_lb
         ctx.check_deadline()
         ids = np.flatnonzero(unresolved)
-        if batch > 0:
-            # Batched round: the top candidates in the scalar loop's own
-            # order (upper bound descending, distance sum descending),
-            # all evaluated in one executor round.
-            order = np.lexsort((-dist_sum[ids], -ecc_ub[ids]))
-            picks = ids[order][:batch]
-            dist, sweep = ctx.run_batch(picks)
-            for j, v in enumerate(picks):
-                ecc_v = int(sweep.eccentricities[j])
-                diam_lb = max(diam_lb, ecc_v)
-                d = dist[j]
-                reached = d >= 0
-                np.maximum(ecc_lb, np.where(reached, d, ecc_lb), out=ecc_lb)
-                np.minimum(ecc_ub, np.where(reached, d + ecc_v, ecc_ub), out=ecc_ub)
-                dist_sum[reached] += d[reached]
-                ecc_lb[v] = ecc_ub[v] = ecc_v
-                swept[v] = True
-            continue
         # Largest upper bound first; break ties toward peripheral
         # vertices (largest distance sum).
         best_ub = ecc_ub[ids].max()
@@ -123,26 +104,16 @@ def sumsweep_diameter(
     engine: Engine = "parallel",
     num_sweeps: int = DEFAULT_SWEEPS,
     deadline: float | None = None,
-    batch_lanes: int = 0,
-    workers: int = 1,
 ) -> BaselineResult:
     """Exact diameter via the (undirected, simplified) ExactSumSweep.
 
-    ``batch_lanes > 0`` keeps the seeding sweeps sequential (each seed
-    choice depends on the previous sweeps' distance sums) but runs the
-    bounding phase in bit-parallel rounds of up to that many vertices —
-    exact distances for all of them from one shared-gather sweep.
-    ``workers > 1`` additionally spreads each bounding round over a
-    shared-memory worker pool (see :mod:`repro.parallel.sweep`); every
-    update is the same sound bound refinement, so the diameter is exact
-    on any backend.
+    One BFS at a time, like the WebGraph ``SumSweepUndirectedDiameterRadius``
+    loop: every seeding and bounding sweep picks its source from the
+    bounds all earlier sweeps left behind.
     """
-    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes, workers=workers)
-    try:
-        groups, connected = component_representatives(graph)
-        best = 0
-        for vertices in groups:
-            best = max(best, _component_diameter(ctx, vertices, num_sweeps))
-        return ctx.result("SumSweep", best, connected)
-    finally:
-        ctx.close()
+    ctx = BaselineContext(graph, engine, deadline)
+    groups, connected = component_representatives(graph)
+    best = 0
+    for vertices in groups:
+        best = max(best, _component_diameter(ctx, vertices, num_sweeps))
+    return ctx.result("SumSweep", best, connected)

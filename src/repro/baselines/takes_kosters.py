@@ -37,24 +37,6 @@ from repro.graph.csr import CSRGraph
 __all__ = ["bounding_diameters"]
 
 
-def _interleave_extremes(
-    cand: np.ndarray, ecc_lb: np.ndarray, ecc_ub: np.ndarray, lanes: int
-) -> np.ndarray:
-    """Up to ``lanes`` candidates, alternating largest-ub / smallest-lb.
-
-    The batched analog of the scalar loop's "interchanging" selection:
-    the vertices one round picks are the ones the scalar loop would
-    have picked next, before any of this round's refinements.
-    """
-    high = cand[np.argsort(-ecc_ub[cand], kind="stable")]
-    low = cand[np.argsort(ecc_lb[cand], kind="stable")]
-    interleaved = np.empty(2 * len(cand), dtype=cand.dtype)
-    interleaved[0::2] = high
-    interleaved[1::2] = low
-    _, first = np.unique(interleaved, return_index=True)
-    return interleaved[np.sort(first)][:lanes]
-
-
 def _refine(
     ecc_lb: np.ndarray, ecc_ub: np.ndarray, v: int, ecc_v: int, dist: np.ndarray
 ) -> None:
@@ -78,7 +60,6 @@ def _component_diameter(ctx: BaselineContext, vertices: np.ndarray) -> int:
 
     diam_lb = 0
     pick_high = True  # alternate: largest ub / smallest lb
-    batch = ctx.sweep_batch
     while True:
         unresolved = in_comp & (ecc_ub > diam_lb) & (ecc_lb != ecc_ub)
         # A vertex with matched bounds still contributes its exact value.
@@ -90,14 +71,6 @@ def _component_diameter(ctx: BaselineContext, vertices: np.ndarray) -> int:
             return diam_lb
         ctx.check_deadline()
         cand = np.flatnonzero(unresolved)
-        if batch > 0:
-            picks = _interleave_extremes(cand, ecc_lb, ecc_ub, batch)
-            dist, sweep = ctx.run_batch(picks)
-            for j, v in enumerate(picks):
-                ecc_v = int(sweep.eccentricities[j])
-                diam_lb = max(diam_lb, ecc_v)
-                _refine(ecc_lb, ecc_ub, int(v), ecc_v, dist[j])
-            continue
         if pick_high:
             v = int(cand[int(np.argmax(ecc_ub[cand]))])
         else:
@@ -117,25 +90,15 @@ def bounding_diameters(
     *,
     engine: Engine = "parallel",
     deadline: float | None = None,
-    batch_lanes: int = 0,
-    workers: int = 1,
 ) -> BaselineResult:
     """Exact diameter via Takes–Kosters BoundingDiameters.
 
-    ``batch_lanes > 0`` evaluates up to that many selected vertices per
-    bit-parallel sweep (shared edge gathers, see
-    :mod:`repro.bfs.bitparallel`) and refines the bounds from all of
-    their exact distance rows; ``workers > 1`` spreads each round over
-    a shared-memory worker pool (:mod:`repro.parallel.sweep`). Every
-    update is the same sound triangle inequality, so the diameter is
-    exact on any backend.
+    One BFS at a time: each selected vertex's exact distance row
+    refines every bound before the next vertex is chosen.
     """
-    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes, workers=workers)
-    try:
-        groups, connected = component_representatives(graph)
-        best = 0
-        for vertices in groups:
-            best = max(best, _component_diameter(ctx, vertices))
-        return ctx.result("BoundingDiameters", best, connected)
-    finally:
-        ctx.close()
+    ctx = BaselineContext(graph, engine, deadline)
+    groups, connected = component_representatives(graph)
+    best = 0
+    for vertices in groups:
+        best = max(best, _component_diameter(ctx, vertices))
+    return ctx.result("BoundingDiameters", best, connected)

@@ -25,11 +25,10 @@ batching, cf. multi-source BFS in the Magnien–Latapy–Habib
 bounding-BFS lineage; see DESIGN.md §8 for the mapping onto the
 paper's multi-source partial BFS).
 
-Read-out is per source: per-lane eccentricities, visited counts, and
-distance matrices. This backs :meth:`TraversalKernel.levels_batched64`,
+Read-out is per source: per-lane eccentricities and distance
+matrices. This backs :meth:`TraversalKernel.levels_batched64`,
 :meth:`TraversalKernel.distance_batch`, the batched eccentricity
-spectrum, the batched baseline refinement rounds, and chain-tip
-batching.
+spectrum, the query engine's distance batches, and chain-tip batching.
 
 Buffers come from a duck-typed :class:`~repro.bfs.kernel.Workspace`
 pool (``acquire_lanes`` / ``release_lanes``) so repeated sweeps reuse
@@ -116,28 +115,19 @@ class LaneSweep:
         vertex — the source's eccentricity within its component when
         the sweep ran to exhaustion, or the depth reached under a
         level cap.
-    visited_counts:
-        Per-lane reached-vertex counts (source included); filled only
-        when requested via ``record_counts``.
     levels:
         Number of levels the sweep expanded.
     edges_examined:
         Total adjacency entries gathered (frontier push-discovery plus
         candidate pull) — shared by ALL lanes, which is the entire
         point: compare against ``k`` scalar traversals' edge counts.
-    reach:
-        The final ``(n, width)`` reach matrix when requested via
-        ``record_reach`` (caller owns it; release via
-        ``Workspace.release_lanes``), else ``None``.
     """
 
     sources: np.ndarray
     width: int
     eccentricities: np.ndarray
-    visited_counts: np.ndarray | None
     levels: int
     edges_examined: int
-    reach: np.ndarray | None = None
 
     @property
     def lane_count(self) -> int:
@@ -159,8 +149,6 @@ def lane_sweep(
     pool=None,
     on_level: Callable[[int, np.ndarray, np.ndarray], object] | None = None,
     check: Callable[[], None] | None = None,
-    record_counts: bool = False,
-    record_reach: bool = False,
 ) -> LaneSweep:
     """Run one bit-parallel level-synchronous sweep from ``sources``.
 
@@ -185,11 +173,6 @@ def lane_sweep(
         literal ``False`` stops the sweep.
     check:
         Optional per-level hook (deadline enforcement).
-    record_counts:
-        Compute per-lane visited counts (an ``O(n * k)`` read-out of
-        the reach matrix; off by default so wide batches don't pay it).
-    record_reach:
-        Hand the reach matrix to the caller instead of releasing it.
     """
     sources = np.asarray(sources, dtype=np.int64).ravel()
     k = len(sources)
@@ -203,7 +186,6 @@ def lane_sweep(
             sources=sources,
             width=0,
             eccentricities=ecc,
-            visited_counts=np.zeros(0, dtype=np.int64) if record_counts else None,
             levels=0,
             edges_examined=0,
         )
@@ -264,17 +246,11 @@ def lane_sweep(
             ecc[(advanced[word_idx] & bits) != _ZERO] = level
             if on_level is not None and on_level(level, fresh, fresh_words) is False:
                 break
-        counts = None
-        if record_counts:
-            counts = np.zeros(k, dtype=np.int64)
-            for j in range(k):
-                counts[j] = int(((reach[:, word_idx[j]] & bits[j]) != _ZERO).sum())
     finally:
         front[frontier] = _ZERO  # pooled buffers go back clean
         if pool is not None:
             pool.release_lanes(front)
-            if not record_reach:
-                pool.release_lanes(reach)
+            pool.release_lanes(reach)
             stats = getattr(pool, "stats", None)
             if stats is not None:
                 stats.edges_examined += edges
@@ -283,10 +259,8 @@ def lane_sweep(
         sources=sources,
         width=width,
         eccentricities=ecc,
-        visited_counts=counts,
         levels=level,
         edges_examined=edges,
-        reach=reach if record_reach else None,
     )
 
 
@@ -302,9 +276,8 @@ def lane_distances(
 
     Returns ``(dist, sweep)`` where ``dist`` has shape ``(k, n)``
     (``int32``, ``-1`` for unreached) and ``dist[i]`` is the distance
-    array of ``sources[i]`` — the read-out the batched SumSweep /
-    Takes–Kosters refinement rounds and the batched eccentricity
-    spectrum consume. The per-level unpack costs ``O(k * touched)``
+    array of ``sources[i]`` — the read-out the query engine's distance
+    batches and the batched eccentricity spectrum consume. The per-level unpack costs ``O(k * touched)``
     bookkeeping, but the edge gathers remain shared.
     """
     sources = np.asarray(sources, dtype=np.int64).ravel()

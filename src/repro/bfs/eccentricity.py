@@ -2,11 +2,11 @@
 
 F-Diam computes the eccentricity of a vertex "by performing a parallel
 level-synchronous BFS starting from v and counting the number of levels"
-(Section 4). This module wraps that pattern and provides the
-all-vertices variant that the naive APSP baseline and the test oracles
-use.
+(Section 4) — :meth:`repro.bfs.kernel.TraversalKernel.bfs` returns it
+as ``eccentricity``. This module provides the all-vertices variant that
+the naive APSP baseline and the test oracles use.
 
-Both run on one of the two single-source engines (see DESIGN.md §2):
+It runs on one of the two single-source engines (see DESIGN.md §2):
 
 * ``"parallel"`` — vectorized direction-optimized hybrid (the paper's
   OpenMP code analog), the kernel's own level loop.
@@ -23,21 +23,7 @@ from repro.bfs.kernel import Engine, TraversalKernel, Workspace
 from repro.bfs.visited import VisitMarks
 from repro.graph.csr import CSRGraph
 
-__all__ = ["Engine", "eccentricity", "all_eccentricities"]
-
-
-def eccentricity(
-    graph: CSRGraph,
-    vertex: int,
-    marks: VisitMarks | None = None,
-    *,
-    engine: Engine = "parallel",
-) -> int:
-    """Eccentricity of ``vertex`` within its connected component."""
-    kernel = TraversalKernel(
-        graph, engine=engine, workspace=Workspace(graph.num_vertices, marks=marks)
-    )
-    return kernel.bfs(vertex).eccentricity
+__all__ = ["Engine", "all_eccentricities"]
 
 
 def all_eccentricities(

@@ -1,10 +1,9 @@
 """Instrumentation for BFS traversals.
 
-The paper's evaluation reports several traversal-level quantities:
-Table 3 counts BFS traversals per algorithm, Section 6.2 reasons about
-frontier sizes and direction switches, and the parallel cost model
-(Figure 7) needs per-level frontier/edge traces. All of that is captured
-here. Instrumentation is opt-in and adds only a few scalar appends per
+The paper's evaluation reasons about traversal-level quantities:
+Section 6.2 discusses frontier sizes and direction switches, and the
+parallel cost model (Figure 7) needs per-level frontier/edge traces.
+All of that is captured here. Instrumentation is opt-in and adds only a few scalar appends per
 level, so it is cheap enough to leave enabled in benchmarks.
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["Direction", "LevelTrace", "BFSTrace", "TraversalCounter"]
+__all__ = ["Direction", "LevelTrace", "BFSTrace"]
 
 
 class Direction(str, Enum):
@@ -109,39 +108,3 @@ class BFSTrace:
     def edge_counts(self) -> list[int]:
         """Edges examined per level (input of the parallel cost model)."""
         return [lv.edges_examined for lv in self.levels]
-
-
-@dataclass
-class TraversalCounter:
-    """Counts BFS traversals using the paper's Table 3 convention.
-
-    "We count a BFS traversal as either the computation of the
-    eccentricity of a vertex or the use of the Winnow function. ...
-    the Eliminate function typically only traverses a small portion of
-    the graph, so we do not count it."
-    """
-
-    eccentricity_calls: int = 0
-    winnow_calls: int = 0
-    eliminate_calls: int = 0  # tracked but excluded from the headline count
-    traces: list[BFSTrace] = field(default_factory=list)
-    keep_traces: bool = False
-
-    @property
-    def bfs_traversals(self) -> int:
-        """The paper's headline BFS-traversal count."""
-        return self.eccentricity_calls + self.winnow_calls
-
-    def count_eccentricity(self, trace: BFSTrace | None = None) -> None:
-        """Record one eccentricity-computing BFS."""
-        self.eccentricity_calls += 1
-        if trace is not None and self.keep_traces:
-            self.traces.append(trace)
-
-    def count_winnow(self) -> None:
-        """Record one Winnow partial BFS."""
-        self.winnow_calls += 1
-
-    def count_eliminate(self) -> None:
-        """Record one Eliminate partial BFS (not in the headline count)."""
-        self.eliminate_calls += 1

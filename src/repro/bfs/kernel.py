@@ -34,9 +34,8 @@ whole traversal surface behind two objects:
   every level of every engine, so even a single huge traversal aborts
   within one level of the budget expiring.
 
-The single-shot helpers in :mod:`repro.bfs.hybrid` and
-:mod:`repro.bfs.partial` remain as thin wrappers that build an
-ephemeral kernel.
+A held kernel is the only way to run a traversal: callers keep one per
+run so the pooled workspace buffers get reused across traversals.
 """
 
 from __future__ import annotations
@@ -450,18 +449,6 @@ class TraversalKernel:
         :class:`~repro.errors.BenchmarkTimeout`, so even one huge
         traversal (2-sweep, Winnow, Extend) aborts within a level of
         the budget expiring.
-    block_gather:
-        Policy for the compressed-store gather path, effective only
-        when the graph carries an open
-        :class:`~repro.store.CompressedCSR` (``.scsr`` loaded with
-        ``mmap=True``). ``"auto"`` (the default) asks
-        :meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_gather_path`
-        per :meth:`levels` expansion — level-capped waves expected to
-        touch only a sliver of the graph decode just their frontier's
-        blocks, everything else uses the decoded arrays; ``"force"``
-        routes every scalar expansion through the blocks (the
-        equivalence tests); ``"off"`` never touches the store. Either
-        way the results are bit-identical.
     memory_budget:
         Optional byte cap on decoded-block scratch for store-backed
         graphs. With ``memory_mode="auto"`` the cost model's
@@ -472,15 +459,20 @@ class TraversalKernel:
     memory_mode:
         Memory-pressure execution mode; ``"auto"`` (default) derives it
         from ``memory_budget``. Resolved values: ``"decode"`` — use
-        the decoded arrays (plus the cost-model-routed block path of
-        ``block_gather``); ``"cached"`` — route *every* scalar
-        expansion through the store's block cache, byte-capped at the
-        budget; ``"stream"`` — ditto, but decoded blocks are never
-        retained, so decoded scratch is bounded by one frontier's
-        blocks. Forcing ``"cached"`` / ``"stream"`` requires a
-        store-backed graph. All modes produce bit-identical traversal
-        results; only ``edges_examined`` accounting may differ (budget
-        modes never run bottom-up steps).
+        the decoded arrays, except that on a graph carrying an open
+        :class:`~repro.store.CompressedCSR` (``.scsr`` loaded with
+        ``mmap=True``) each :meth:`levels` expansion asks
+        :meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_gather_path`
+        whether to decode just its frontier's blocks (level-capped
+        waves expected to touch only a sliver of the graph);
+        ``"cached"`` — route *every* scalar expansion through the
+        store's block cache, byte-capped at the budget; ``"stream"`` —
+        ditto, but decoded blocks are never retained, so decoded
+        scratch is bounded by one frontier's blocks. Forcing
+        ``"cached"`` / ``"stream"`` requires a store-backed graph. All
+        modes produce bit-identical traversal results; only
+        ``edges_examined`` accounting may differ (budget modes never
+        run bottom-up steps).
     """
 
     __slots__ = (
@@ -490,7 +482,6 @@ class TraversalKernel:
         "directions",
         "workspace",
         "deadline",
-        "block_gather",
         "memory_budget",
         "memory_mode",
         "_block_store",
@@ -506,7 +497,6 @@ class TraversalKernel:
         directions: bool = True,
         workspace: Workspace | None = None,
         deadline: float | None = None,
-        block_gather: str = "auto",
         memory_budget: int | None = None,
         memory_mode: str = "auto",
     ):
@@ -525,15 +515,7 @@ class TraversalKernel:
                 f"{self.workspace.num_vertices} != {graph.num_vertices}"
             )
         self.deadline = deadline
-        if block_gather not in ("auto", "force", "off"):
-            raise AlgorithmError(
-                f"block_gather must be 'auto', 'force', or 'off', "
-                f"got {block_gather!r}"
-            )
-        self.block_gather = block_gather
-        self._block_store = (
-            graph.backing_store if block_gather != "off" else None
-        )
+        self._block_store = graph.backing_store
         if memory_mode not in ("auto", "decode", "cached", "stream"):
             raise AlgorithmError(
                 f"memory_mode must be 'auto', 'decode', 'cached', or "
@@ -589,11 +571,8 @@ class TraversalKernel:
         self, num_sources: int, max_level: int | None
     ) -> bool:
         """Whether this :meth:`levels` expansion should decode blocks."""
-        store = self._block_store
-        if store is None:
+        if self._block_store is None:
             return False
-        if self.block_gather == "force":
-            return True
         from repro.parallel.costmodel import LevelSynchronousCostModel
 
         path, _ = LevelSynchronousCostModel().choose_gather_path(
@@ -861,8 +840,6 @@ class TraversalKernel:
         max_level: int | None = None,
         *,
         on_level: Callable[[int, np.ndarray, np.ndarray], object] | None = None,
-        record_counts: bool = False,
-        record_reach: bool = False,
     ) -> LaneSweep:
         """Bit-parallel multi-source BFS: one sweep, up to 64 lanes per word.
 
@@ -882,8 +859,6 @@ class TraversalKernel:
             pool=self.workspace,
             on_level=on_level,
             check=self.check_deadline,
-            record_counts=record_counts,
-            record_reach=record_reach,
         )
 
     def distance_batch(
@@ -935,7 +910,6 @@ class TraversalKernel:
         injections: Mapping[int, Sequence[int] | np.ndarray],
         num_steps: int,
         *,
-        marks: VisitMarks | None = None,
         on_discover: Callable[[int, np.ndarray], object] | None = None,
     ) -> int:
         """Multi-source wave with per-step source injection.
@@ -953,12 +927,8 @@ class TraversalKernel:
         Returns the number of vertices discovered (injected sources
         included).
         """
-        use_ws_marks = marks is None
-        if use_ws_marks:
-            marks = self.workspace.marks
-            self.workspace.new_epoch()
-        else:
-            marks.new_epoch()
+        marks = self.workspace.marks
+        self.workspace.new_epoch()
         discovered = 0
         frontier = np.empty(0, dtype=np.int64)
         for step in range(num_steps + 1):
@@ -996,7 +966,6 @@ class TraversalKernel:
         workers: int = 1,
         batch_lanes: int = 64,
         backend: str = "auto",
-        start_method: str | None = None,
     ):
         """A :class:`~repro.parallel.sweep.SweepExecutor` bound to this kernel.
 
@@ -1016,7 +985,6 @@ class TraversalKernel:
             batch_lanes=batch_lanes,
             backend=backend,
             kernel=self,
-            start_method=start_method,
             memory_budget=self.memory_budget,
         )
 
@@ -1034,10 +1002,6 @@ class TraversalKernel:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
-
-    def eccentricity(self, vertex: int) -> int:
-        """Eccentricity of ``vertex`` within its connected component."""
-        return self.bfs(vertex).eccentricity
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

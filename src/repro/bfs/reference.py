@@ -7,9 +7,9 @@ Two roles:
 2. **The serial F-Diam engine.** The paper evaluates both a serial and
    a parallel (OpenMP) implementation of F-Diam. In this reproduction,
    "F-Diam (ser)" runs its BFS levels through this scalar per-edge loop,
-   while "F-Diam (par)" runs them through the vectorized kernels in
-   :mod:`repro.bfs.hybrid` — the same serial-vs-data-parallel split as
-   the paper's two codes, on a substrate where "parallel" means
+   while "F-Diam (par)" runs them through the vectorized hybrid of
+   :class:`repro.bfs.kernel.TraversalKernel` — the same
+   serial-vs-data-parallel split as the paper's two codes, on a substrate where "parallel" means
    compiled whole-frontier array operations (see DESIGN.md §2).
 """
 
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bfs.hybrid import BFSResult
+from repro.bfs.kernel import BFSResult
 from repro.bfs.visited import VisitMarks
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
@@ -39,9 +39,9 @@ def serial_bfs(
 ) -> BFSResult:
     """Level-synchronous BFS with a scalar Python inner loop.
 
-    Semantically identical to :func:`repro.bfs.hybrid.run_bfs` (same
-    result fields, same counter-based visited marks), just executed one
-    edge at a time. ``check`` is an optional per-level hook (the
+    Semantically identical to the hybrid of
+    :meth:`repro.bfs.kernel.TraversalKernel.bfs` (same result fields,
+    same counter-based visited marks), just executed one edge at a time. ``check`` is an optional per-level hook (the
     kernel's deadline check), called before each level expands.
     """
     n = graph.num_vertices

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bfs.partial import ball
-from repro.bfs.visited import VisitMarks
+from repro.bfs.kernel import TraversalKernel
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 
@@ -46,13 +45,14 @@ def winnow_coverage(
     graph: CSRGraph,
     center: int,
     bound: int,
-    marks: VisitMarks | None = None,
+    kernel: TraversalKernel | None = None,
 ) -> WinnowCoverage:
     """Measure the ball ``B(center, ⌊bound/2⌋)`` without removing anything.
 
     ``fraction`` is relative to the whole vertex set (the Table 4
     convention), so disconnected remainders and isolated vertices count
-    against the coverage just as they do in the algorithm.
+    against the coverage just as they do in the algorithm. Pass a held
+    ``kernel`` of ``graph`` to share its workspace across many calls.
     """
     n = graph.num_vertices
     if n == 0:
@@ -60,7 +60,9 @@ def winnow_coverage(
     if bound < 0:
         raise AlgorithmError("bound must be non-negative")
     radius = bound // 2
-    covered = ball(graph, center, radius, marks, include_center=False)
+    if kernel is None:
+        kernel = TraversalKernel(graph)
+    covered = kernel.ball(center, radius, include_center=False)
     return WinnowCoverage(
         center=center,
         center_degree=graph.degree(center),
@@ -91,7 +93,7 @@ def coverage_by_centrality(
         raise AlgorithmError("coverage_by_centrality on an empty graph")
     rng = np.random.default_rng(seed)
     order = np.argsort(graph.degrees, kind="stable")
-    marks = VisitMarks(n)
+    kernel = TraversalKernel(graph)
     out: dict[int, float] = {}
     for pct in percentiles:
         # Vertices whose degree rank falls in a small window around pct.
@@ -103,7 +105,7 @@ def coverage_by_centrality(
         if pct == 100:
             picks = np.unique(np.append(picks, graph.max_degree_vertex()))
         fractions = [
-            winnow_coverage(graph, int(v), bound, marks).fraction for v in picks
+            winnow_coverage(graph, int(v), bound, kernel).fraction for v in picks
         ]
         out[pct] = float(np.mean(fractions))
     return out

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from repro.bfs.eccentricity import Engine
-from repro.bfs.hybrid import DEFAULT_THRESHOLD
+from repro.bfs.kernel import DEFAULT_THRESHOLD, Engine
 
 __all__ = ["FDiamConfig", "ABLATIONS"]
 
@@ -87,13 +86,9 @@ class FDiamConfig:
         whether the decoded image fits; under pressure it routes every
         expansion through per-block decoding with the store's block
         cache capped at this many bytes (or pure streaming decode when
-        even a useful cache does not fit). Exactness-preserving: the
-        diameter and eccentricities are bit-identical with any value.
-    memory_mode:
-        Override for the memory-pressure routing: ``"auto"`` (default)
-        lets the cost model decide from ``memory_budget``; ``"decode"``,
-        ``"cached"`` and ``"stream"`` force one mode (the latter two
-        require a store-backed graph).
+        even a useful cache does not fit; ``0`` always streams).
+        Exactness-preserving: the diameter and eccentricities are
+        bit-identical with any value.
     verify:
         Attach the invariant oracle of :mod:`repro.verify` to the run:
         reference BFS distances are precomputed up front and every
@@ -118,7 +113,6 @@ class FDiamConfig:
     chain_tip_batch: bool = False
     prep: str = "off"
     memory_budget: int | None = None
-    memory_mode: str = "auto"
     verify: bool = False
 
     def ablate(self, **changes: object) -> "FDiamConfig":

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.hybrid import BFSResult
-from repro.bfs.kernel import TraversalKernel
+from repro.bfs.kernel import BFSResult, TraversalKernel
 from repro.core.config import FDiamConfig
 from repro.core.stats import FDiamStats, Reason
 from repro.graph.csr import CSRGraph
@@ -92,7 +91,6 @@ class FDiamState:
             directions=config.directions,
             deadline=deadline,
             memory_budget=config.memory_budget,
-            memory_mode=config.memory_mode,
         )
         #: Shared visit counter (the paper's ``counter`` parameter) —
         #: an alias of the kernel workspace's marks.

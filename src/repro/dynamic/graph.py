@@ -38,6 +38,7 @@ from repro.errors import AlgorithmError
 from repro.graph.build import from_edge_arrays
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_digest
+from repro.graph.validate import as_vertex_id
 
 __all__ = ["DynamicGraph", "MutationBatch"]
 
@@ -67,7 +68,12 @@ class MutationBatch:
 
 
 def _pairs(edges) -> list[tuple[int, int]]:
-    """Normalize an iterable of edge pairs into ``(u, v)`` int tuples."""
+    """Normalize an iterable of edge pairs into ``(u, v)`` int tuples.
+
+    Endpoints go through :func:`~repro.graph.validate.as_vertex_id`, so
+    a ``0.9`` or ``True`` rejects the batch instead of becoming vertex 0
+    or 1.
+    """
     out = []
     for pair in edges:
         try:
@@ -76,7 +82,7 @@ def _pairs(edges) -> list[tuple[int, int]]:
             raise AlgorithmError(
                 f"edge {pair!r} is not a (u, v) pair"
             ) from exc
-        out.append((int(u), int(v)))
+        out.append((as_vertex_id(u), as_vertex_id(v)))
     return out
 
 
@@ -142,6 +148,19 @@ class DynamicGraph:
     def base(self) -> CSRGraph:
         """The current compacted base (reference only; never mutated)."""
         return self._base
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the base CSR arrays plus the cached view's own.
+
+        A view with an overlay merged in is a second CSR of about the
+        base's size; one without shares the base's arrays and adds
+        nothing.
+        """
+        total = self._base.memory_bytes()
+        view = self._view
+        if view is not None and view.indices is not self._base.indices:
+            total += view.memory_bytes()
+        return total
 
     @property
     def overlay_edges(self) -> int:

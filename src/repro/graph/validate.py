@@ -14,16 +14,19 @@ Invariants checked
 3. No self-loops.
 4. Each adjacency list is strictly increasing (sorted + deduplicated).
 5. The adjacency structure is symmetric (``u → v`` implies ``v → u``).
+
+:func:`as_vertex_id` checks one vertex id arriving from outside (a
+query or a mutation batch) before anything indexes with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphValidationError
+from repro.errors import AlgorithmError, GraphValidationError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["validate_csr", "is_symmetric"]
+__all__ = ["validate_csr", "is_symmetric", "as_vertex_id"]
 
 
 def validate_csr(graph: CSRGraph) -> None:
@@ -91,3 +94,24 @@ def is_symmetric(graph: CSRGraph) -> bool:
     forward.sort()
     backward.sort()
     return bool(np.array_equal(forward, backward))
+
+
+def as_vertex_id(value) -> int:
+    """``value`` as a vertex id, or :class:`AlgorithmError`.
+
+    Accepts Python and NumPy integers and decimal strings. Rejects
+    ``bool`` and ``float`` (and anything else) instead of truncating
+    them: ``int(2.7)`` would silently answer for vertex 2. Range checks
+    are the caller's.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer, str)
+    ):
+        raise AlgorithmError(
+            f"vertex id {value!r} is not an integer "
+            f"({type(value).__name__})"
+        )
+    try:
+        return int(value)
+    except ValueError:
+        raise AlgorithmError(f"vertex id {value!r} is not an integer") from None

@@ -6,9 +6,10 @@ the same CSR arrays. :class:`QueryEngine` instead packs the distinct
 sources of a mixed batch into 64-lane bit-parallel sweeps
 (:meth:`repro.bfs.kernel.TraversalKernel.distance_batch`), memoizes the
 resulting distance rows (optionally persisting them through the
-warm-start cache), and keeps recently used graphs' kernels alive in an
-LRU registry — so a 256-query batch typically runs a handful of
-physical sweeps.
+warm-start cache), and keeps every registered graph's kernel alive
+until :meth:`QueryEngine.remove_graph` drops it (residency under a byte
+budget is :class:`repro.service.GraphRegistry`'s job) — so a 256-query
+batch typically runs a handful of physical sweeps.
 """
 
 from repro.query.engine import BatchStats, QueryEngine, parse_query

@@ -25,6 +25,7 @@ from repro.dynamic import DynamicDiameter, DynamicGraph, MutationBatch
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_digest
+from repro.graph.validate import as_vertex_id
 
 __all__ = ["BatchStats", "QueryEngine", "parse_query"]
 
@@ -32,12 +33,15 @@ __all__ = ["BatchStats", "QueryEngine", "parse_query"]
 def parse_query(query, *, num_vertices: int | None = None) -> tuple:
     """Normalize one query into a ``("dist"|"ecc"|"diam", ...)`` tuple.
 
-    Vertex ids must be non-negative and — when ``num_vertices`` is
-    given — below it. Violations raise :class:`AlgorithmError` here,
-    at parse time, rather than deep inside a sweep: the serving layer
-    rejects a bad query with a structured 400 *before* it joins a
-    coalesced batch, so one malformed request can never poison the
-    in-flight queries it would have shared a sweep with.
+    Vertex ids must be integers
+    (:func:`~repro.graph.validate.as_vertex_id`: a ``2.7`` or ``True``
+    is rejected, never truncated), non-negative, and — when
+    ``num_vertices`` is given — below it. Violations raise
+    :class:`AlgorithmError` here, at parse time, rather than deep
+    inside a sweep: the serving layer rejects a bad query with a
+    structured 400 *before* it joins a coalesced batch, so one
+    malformed request can never poison the in-flight queries it would
+    have shared a sweep with.
     """
     if isinstance(query, str):
         parts = query.split()
@@ -49,12 +53,12 @@ def parse_query(query, *, num_vertices: int | None = None) -> tuple:
     parsed = None
     try:
         if kind == "dist" and len(parts) == 3:
-            parsed = ("dist", int(parts[1]), int(parts[2]))
+            parsed = ("dist", as_vertex_id(parts[1]), as_vertex_id(parts[2]))
         elif kind == "ecc" and len(parts) == 2:
-            parsed = ("ecc", int(parts[1]))
+            parsed = ("ecc", as_vertex_id(parts[1]))
         elif kind == "diam" and len(parts) == 1:
             parsed = ("diam",)
-    except (TypeError, ValueError) as exc:
+    except AlgorithmError as exc:
         raise AlgorithmError(f"malformed query {query!r}: {exc}") from None
     if parsed is None:
         raise AlgorithmError(
@@ -186,9 +190,6 @@ class QueryEngine:
         rows, ``diam`` queries warm-start through :func:`fdiam_cached`,
         and :meth:`flush` persists the hottest memo rows back as
         landmarks for the next process.
-    max_graphs:
-        LRU capacity of the graph registry (kernels and memos of
-        evicted graphs are dropped).
     batch_lanes:
         Upper bound on sources per physical sweep chunk
         (:meth:`TraversalKernel.distance_batch`).
@@ -209,16 +210,13 @@ class QueryEngine:
     """
 
     store: object | None = None
-    max_graphs: int = 4
     batch_lanes: int = 256
     memo_vectors: int = 64
     workers: int = 1
     memory_budget: int | None = None
-    _graphs: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.max_graphs < 1:
-            raise AlgorithmError("max_graphs must be >= 1")
         if self.batch_lanes < 1:
             raise AlgorithmError("batch_lanes must be >= 1")
         if self.memo_vectors < 0:
@@ -274,14 +272,10 @@ class QueryEngine:
                         stacklevel=2,
                     )
                 entry.dirty = False  # preloaded rows are already on disk
-        old = self._graphs.get(key)
+        old = self._graphs.pop(key, None)
         if old is not None:
             old.close()
         self._graphs[key] = entry
-        self._graphs.move_to_end(key)
-        while len(self._graphs) > self.max_graphs:
-            _, evicted = self._graphs.popitem(last=False)
-            evicted.close()
         return key
 
     def remove_graph(self, key: str) -> bool:
@@ -299,7 +293,7 @@ class QueryEngine:
         return True
 
     def graph_keys(self) -> list[str]:
-        """Registered graph keys, least- to most-recently used."""
+        """Registered graph keys, in registration order."""
         return list(self._graphs)
 
     def executor_counters(self) -> dict:
@@ -318,7 +312,6 @@ class QueryEngine:
     def _entry(self, key: str) -> _GraphEntry:
         if key not in self._graphs:
             raise AlgorithmError(f"unknown graph {key!r}; add_graph() it first")
-        self._graphs.move_to_end(key)
         return self._graphs[key]
 
     def _executor_for(self, entry: _GraphEntry):

@@ -4,9 +4,11 @@ The server is configured with *specs* (a key plus a graph file path,
 or an already-built :class:`~repro.graph.csr.CSRGraph`); the registry
 opens them lazily on first query and keeps the resident set under a
 byte budget with LRU eviction. Residency is measured the same way the
-out-of-core tier measures it (PR 8's ``decoded_bytes``):
+out-of-core tier measures it (``decoded_bytes``):
 ``indptr.nbytes + indices.nbytes`` — the arrays a traversal actually
-walks.
+walks. A mutated :class:`~repro.dynamic.DynamicGraph` also holds its
+merged view, a second CSR the engine traverses, so residency is
+measured from the live graphs every time the budget is applied.
 
 Interplay with the memory-mode routing: the budget here evicts *whole
 graphs*; a graph whose decoded size alone exceeds the engine's
@@ -48,12 +50,10 @@ class UnknownGraphError(AlgorithmError):
 def resident_bytes(graph) -> int:
     """Decoded working-set estimate: the arrays a traversal walks.
 
-    A :class:`~repro.dynamic.DynamicGraph` is measured by its base CSR
-    (the overlay is bounded by the compaction threshold, a fraction of
-    the base).
+    A :class:`~repro.dynamic.DynamicGraph` counts its base CSR plus its
+    cached merged view when that view has arrays of its own.
     """
-    base = getattr(graph, "base", graph)
-    return int(base.indptr.nbytes + base.indices.nbytes)
+    return int(graph.memory_bytes())
 
 
 def _holds_mutations(graph) -> bool:
@@ -87,11 +87,10 @@ class GraphSpec:
 
 
 class _Resident:
-    __slots__ = ("graph", "nbytes", "opened_here")
+    __slots__ = ("graph", "opened_here")
 
-    def __init__(self, graph: CSRGraph, nbytes: int, opened_here: bool):
+    def __init__(self, graph: CSRGraph, opened_here: bool):
         self.graph = graph
-        self.nbytes = nbytes
         self.opened_here = opened_here
 
 
@@ -135,7 +134,7 @@ class GraphRegistry:
 
     @property
     def resident_total(self) -> int:
-        return sum(r.nbytes for r in self._resident.values())
+        return sum(resident_bytes(r.graph) for r in self._resident.values())
 
     # ------------------------------------------------------------------
     # Pinning (event-loop side)
@@ -177,7 +176,7 @@ class GraphRegistry:
             if spec.dynamic and not isinstance(graph, DynamicGraph):
                 graph = DynamicGraph(graph)
             self.engine.add_graph(graph, key=key)
-            resident = _Resident(graph, resident_bytes(graph), opened_here)
+            resident = _Resident(graph, opened_here)
             self._resident[key] = resident
             self.opens += 1
         else:
@@ -241,7 +240,7 @@ class GraphRegistry:
                 key: {
                     "resident": key in self._resident,
                     "resident_bytes": (
-                        self._resident[key].nbytes
+                        resident_bytes(self._resident[key].graph)
                         if key in self._resident
                         else 0
                     ),

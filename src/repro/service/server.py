@@ -75,11 +75,6 @@ _REASONS = {
 #: Request bodies past this size are rejected outright (413).
 _MAX_BODY = 1 << 20
 
-#: Engine registry capacity: residency is the byte-budgeted registry's
-#: job, so the engine's own LRU must never be the one evicting.
-_ENGINE_CAPACITY = 1 << 30
-
-
 def _status_for(exc: ReproError) -> int:
     if isinstance(exc, UnknownGraphError):
         return 404
@@ -111,7 +106,6 @@ class QueryService:
         self.store = store
         self.engine = QueryEngine(
             store=store,
-            max_graphs=_ENGINE_CAPACITY,
             batch_lanes=batch_lanes,
             memo_vectors=memo_vectors,
             workers=workers,

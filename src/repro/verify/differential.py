@@ -37,6 +37,7 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "CONFIG_LATTICE",
     "Disagreement",
+    "budget_axis",
     "reference_eccentricities",
     "run_trial",
 ]
@@ -296,17 +297,11 @@ def _check_store(
                 _check_result(label, result, ref_diameter, ref_connected)
             )
         # Memory-budget axis: the same mapped image solved unbounded
-        # (above), with the block cache capped (cached-gather mode),
-        # and with cache retention disabled entirely (streaming-gather)
-        # must agree bit-identically — budgets change wall time and
+        # (above) and under each budget of :func:`budget_axis` must
+        # agree bit-identically — budgets change wall time and
         # resident bytes, never answers.
         if mapped.num_vertices:
-            decoded = mapped.indptr.nbytes + mapped.indices.nbytes
-            budget_axis = (
-                ("store/mmap+capped", FDiamConfig(memory_budget=max(decoded // 2, 1))),
-                ("store/mmap+stream", FDiamConfig(memory_mode="stream")),
-            )
-            for label, config in budget_axis:
+            for label, config in budget_axis(mapped):
                 try:
                     result = fdiam(mapped, config)
                 except ReproError as exc:
@@ -321,6 +316,20 @@ def _check_store(
         if backing is not None:
             backing.close()
     return found
+
+
+def budget_axis(mapped: CSRGraph) -> tuple[tuple[str, FDiamConfig], ...]:
+    """The lattice's memory-budget cells for a store-backed graph.
+
+    Half the decoded size caps the block cache (cached-gather mode); a
+    zero budget disables cache retention entirely (streaming-gather
+    mode).
+    """
+    decoded = mapped.indptr.nbytes + mapped.indices.nbytes
+    return (
+        ("store/mmap+capped", FDiamConfig(memory_budget=max(decoded // 2, 1))),
+        ("store/mmap+stream", FDiamConfig(memory_budget=0)),
+    )
 
 
 def _check_queries(

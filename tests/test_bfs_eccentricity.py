@@ -4,13 +4,7 @@ import networkx as nx
 import pytest
 
 from conftest import random_gnp
-from repro.bfs import (
-    BFSTrace,
-    Direction,
-    TraversalCounter,
-    all_eccentricities,
-    eccentricity,
-)
+from repro.bfs import BFSTrace, Direction, TraversalKernel, all_eccentricities
 from repro.errors import AlgorithmError
 from repro.generators import path_graph, star_graph
 
@@ -19,13 +13,14 @@ class TestEccentricity:
     @pytest.mark.parametrize("engine", ["parallel", "serial"])
     def test_path_endpoints_and_middle(self, engine):
         g = path_graph(9)
-        assert eccentricity(g, 0, engine=engine) == 8
-        assert eccentricity(g, 4, engine=engine) == 4
+        kernel = TraversalKernel(g, engine=engine)
+        assert kernel.bfs(0).eccentricity == 8
+        assert kernel.bfs(4).eccentricity == 4
 
     def test_unknown_engine(self):
         g = path_graph(3)
         with pytest.raises(AlgorithmError, match="engine must be"):
-            eccentricity(g, 0, engine="gpu")
+            TraversalKernel(g, engine="gpu")
         with pytest.raises(AlgorithmError, match="engine must be"):
             all_eccentricities(g, engine="batched")
 
@@ -42,8 +37,8 @@ class TestEccentricity:
 
         monkeypatch.setattr(reference, "serial_bfs", spy)
         g = path_graph(5)
-        assert eccentricity(g, 1, engine="serial") == 3
-        assert eccentricity(g, 2, engine="parallel") == 2
+        assert TraversalKernel(g, engine="serial").bfs(1).eccentricity == 3
+        assert TraversalKernel(g, engine="parallel").bfs(2).eccentricity == 2
         assert sources == [1]
 
 
@@ -82,23 +77,3 @@ class TestBFSTrace:
         assert trace.num_direction_switches == 2
         assert trace.frontier_sizes() == [1, 5, 2]
         assert trace.edge_counts() == [1, 9, 2]
-
-
-class TestTraversalCounter:
-    def test_table3_convention(self):
-        # Paper: eccentricity BFS and Winnow count; Eliminate does not.
-        c = TraversalCounter()
-        c.count_eccentricity()
-        c.count_eccentricity()
-        c.count_winnow()
-        c.count_eliminate()
-        assert c.bfs_traversals == 3
-        assert c.eliminate_calls == 1
-
-    def test_trace_retention_opt_in(self):
-        c = TraversalCounter(keep_traces=True)
-        c.count_eccentricity(BFSTrace(source=0))
-        assert len(c.traces) == 1
-        c2 = TraversalCounter()
-        c2.count_eccentricity(BFSTrace(source=0))
-        assert len(c2.traces) == 0

@@ -1,5 +1,7 @@
 """Tests for the BFS engines: top-down, bottom-up, hybrid, serial.
 
+The hybrid runs through :meth:`TraversalKernel.bfs`.
+
 All four expansion strategies must agree level-for-level with each
 other and with networkx shortest-path lengths.
 """
@@ -10,9 +12,10 @@ import pytest
 
 from conftest import random_gnp
 from repro.bfs import (
+    TraversalKernel,
     VisitMarks,
+    Workspace,
     bottomup_step,
-    run_bfs,
     serial_bfs,
     serial_distances,
     topdown_step,
@@ -82,41 +85,41 @@ class TestRunBFS:
     @pytest.mark.parametrize("directions", [True, False])
     def test_eccentricity_path(self, directions):
         g = path_graph(10)
-        res = run_bfs(g, 0, directions=directions)
+        res = TraversalKernel(g, directions=directions).bfs(0)
         assert res.eccentricity == 9
         assert res.visited_count == 10
         assert res.last_frontier.tolist() == [9]
 
     def test_middle_of_path(self):
-        res = run_bfs(path_graph(9), 4)
+        res = TraversalKernel(path_graph(9)).bfs(4)
         assert res.eccentricity == 4
 
     def test_isolated_source(self):
         g = from_edges([(0, 1)], num_vertices=3)
-        res = run_bfs(g, 2)
+        res = TraversalKernel(g).bfs(2)
         assert res.eccentricity == 0
         assert res.visited_count == 1
         assert res.last_frontier.tolist() == [2]
 
     def test_source_out_of_range(self):
         with pytest.raises(AlgorithmError):
-            run_bfs(path_graph(3), 3)
+            TraversalKernel(path_graph(3)).bfs(3)
 
     def test_max_level_caps_traversal(self):
-        res = run_bfs(path_graph(10), 0, max_level=3)
+        res = TraversalKernel(path_graph(10)).bfs(0, max_level=3)
         assert res.eccentricity == 3
         assert res.visited_count == 4
 
     def test_record_dist_matches_networkx(self):
         g, G = random_gnp(50, 0.1, 22)
-        res = run_bfs(g, 0, record_dist=True)
+        res = TraversalKernel(g).bfs(0, record_dist=True)
         lengths = nx.single_source_shortest_path_length(G, 0)
         for v in range(50):
             expected = lengths.get(v, -1)
             assert res.dist[v] == expected
 
     def test_trace_recorded(self):
-        res = run_bfs(grid_2d(5, 5), 0, record_trace=True)
+        res = TraversalKernel(grid_2d(5, 5)).bfs(0, record_trace=True)
         assert res.trace is not None
         assert res.trace.eccentricity == res.eccentricity
         assert res.trace.total_discovered == res.visited_count - 1
@@ -124,16 +127,17 @@ class TestRunBFS:
     def test_hybrid_switches_direction_on_grid(self):
         # A 30x30 grid from a corner has frontiers larger than 10% of n
         # in the middle of the traversal.
-        res = run_bfs(grid_2d(30, 30), 0, record_trace=True, threshold=0.02)
+        kernel = TraversalKernel(grid_2d(30, 30), threshold=0.02)
+        res = kernel.bfs(0, record_trace=True)
         directions = {lv.direction for lv in res.trace.levels}
         assert len(directions) == 2
         assert res.eccentricity == 58
 
     def test_shared_marks_reusable(self):
         g = path_graph(6)
-        marks = VisitMarks(6)
-        assert run_bfs(g, 0, marks).eccentricity == 5
-        assert run_bfs(g, 3, marks).eccentricity == 3
+        kernel = TraversalKernel(g, workspace=Workspace(6, marks=VisitMarks(6)))
+        assert kernel.bfs(0).eccentricity == 5
+        assert kernel.bfs(3).eccentricity == 3
 
 
 class TestSerialBFS:
@@ -141,7 +145,7 @@ class TestSerialBFS:
         for seed in range(5):
             g, _ = random_gnp(40, 0.08, seed)
             for src in (0, 7, 39):
-                a = run_bfs(g, src)
+                a = TraversalKernel(g).bfs(src)
                 b = serial_bfs(g, src)
                 assert a.eccentricity == b.eccentricity
                 assert a.visited_count == b.visited_count
@@ -175,7 +179,7 @@ class TestSerialDistances:
         g, _ = random_gnp(35, 0.1, 25)
         for src in range(0, 35, 7):
             d_ref = serial_distances(g, src)
-            d_vec = run_bfs(g, src, record_dist=True).dist
+            d_vec = TraversalKernel(g).bfs(src, record_dist=True).dist
             d_ser = serial_bfs(g, src, record_dist=True).dist
             assert (d_ref == d_vec).all()
             assert (d_ref == d_ser).all()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gnp
-from repro.bfs import TraversalKernel, VisitMarks, Workspace, run_bfs
+from repro.bfs import TraversalKernel, VisitMarks, Workspace
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.generators import path_graph, star_graph
 
@@ -71,11 +71,13 @@ class TestWorkspace:
 
 class TestKernelBFS:
     def test_matches_wrapper_function(self):
+        # A held kernel reusing its pooled buffers answers exactly like
+        # a single-use kernel built for one call.
         g, _ = random_gnp(50, 0.08, 17)
         kernel = TraversalKernel(g)
         for v in (0, 13, 42):
             a = kernel.bfs(v, record_dist=True)
-            b = run_bfs(g, v, record_dist=True)
+            b = TraversalKernel(g).bfs(v, record_dist=True)
             assert a.eccentricity == b.eccentricity
             assert a.visited_count == b.visited_count
             assert (a.dist == b.dist).all()
@@ -156,8 +158,8 @@ class TestKernelBFS:
     def test_eccentricity_and_ball(self):
         g = star_graph(7)  # hub 0, leaves 1..6
         kernel = TraversalKernel(g)
-        assert kernel.eccentricity(0) == 1
-        assert kernel.eccentricity(3) == 2
+        assert kernel.bfs(0).eccentricity == 1
+        assert kernel.bfs(3).eccentricity == 2
         assert kernel.ball(0, 1).tolist() == list(range(7))
         assert kernel.ball(3, 1).tolist() == [0, 3]
         assert kernel.ball(3, 1, include_center=False).tolist() == [0]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from conftest import random_gnp
-from repro.bfs import all_eccentricities, eccentricity, serial_distances
+from repro.bfs import TraversalKernel, all_eccentricities, serial_distances
 from repro.core import FDiamConfig, FDiamState, Reason, eliminate
 from repro.core.state import ACTIVE
 from repro.generators import grid_2d, path_graph, star_graph
@@ -82,7 +82,7 @@ class TestEliminateSafety:
             diam = int(ecc.max())
             state = make_state(g)
             v = 0
-            ecc_v = eccentricity(g, v)
+            ecc_v = TraversalKernel(g).bfs(v).eccentricity
             eliminate(state, v, ecc=ecc_v, bound=diam)
             removed = np.flatnonzero(~state.active_mask())
             for w in removed:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gnp, to_nx
-from repro.bfs import all_eccentricities, ball
+from repro.bfs import TraversalKernel, all_eccentricities
 from repro.core import FDiamConfig, FDiamState, Reason, winnow
 from repro.core.state import ACTIVE, WINNOWED
 from repro.errors import AlgorithmError
@@ -21,7 +21,7 @@ class TestWinnowMechanics:
         state = make_state(g)
         center = 24  # middle of the grid
         winnow(state, center, bound=6)  # radius 3
-        expected = set(ball(g, center, 3).tolist()) - {center}
+        expected = set(TraversalKernel(g).ball(center, 3).tolist()) - {center}
         removed = set(np.flatnonzero(state.status == WINNOWED).tolist())
         assert removed == expected
         assert state.stats.removed_by[Reason.WINNOW] == len(expected)

@@ -114,6 +114,25 @@ class TestOverlay:
         assert dgraph.epoch == 0
         assert not dgraph.has_edge(0, 3)
 
+    @pytest.mark.parametrize(
+        "pair", [(0.9, 5), (0, 5.0), (True, 5), (0, "4.5"), (None, 5)]
+    )
+    def test_non_integer_endpoints_rejected(self, pair):
+        dgraph = DynamicGraph(path_graph(6))
+        with pytest.raises(AlgorithmError, match="not an integer"):
+            dgraph.apply(inserts=[(1, 4), pair])
+        with pytest.raises(AlgorithmError, match="not an integer"):
+            dgraph.apply(deletes=[pair])
+        assert dgraph.epoch == 0
+        assert not dgraph.has_edge(0, 5)
+        assert not dgraph.has_edge(1, 4)
+
+    def test_integer_like_endpoints_accepted(self):
+        dgraph = DynamicGraph(path_graph(6))
+        batch = dgraph.apply(inserts=[(np.int64(0), "5"), (np.int32(1), 4)])
+        assert batch.inserted == 2
+        assert dgraph.has_edge(0, 5) and dgraph.has_edge(1, 4)
+
     def test_insert_before_delete_within_a_batch(self):
         dgraph = DynamicGraph(path_graph(6))
         batch = dgraph.apply(inserts=[(0, 4)], deletes=[(0, 4)])

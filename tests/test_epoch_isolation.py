@@ -11,39 +11,41 @@ fresh-marks runs.
 import numpy as np
 
 from conftest import random_gnp
-from repro.bfs import (
-    VisitMarks,
-    ball,
-    partial_bfs_levels,
-    run_bfs,
-    serial_bfs,
-)
+from repro.bfs import TraversalKernel, VisitMarks, Workspace, serial_bfs
+
+
+def shared_kernel(graph, marks):
+    """A kernel whose workspace runs on the caller's ``marks``."""
+    return TraversalKernel(
+        graph, workspace=Workspace(graph.num_vertices, marks=marks)
+    )
 
 
 class TestSharedMarksEquivalence:
     def test_interleaved_traversals_match_fresh_marks(self):
         g, _ = random_gnp(60, 0.08, 91)
         shared = VisitMarks(60)
+        kernel = shared_kernel(g, shared)
         rng = np.random.default_rng(5)
 
         for _ in range(50):
             kind = rng.integers(0, 4)
             v = int(rng.integers(0, 60))
             if kind == 0:
-                a = run_bfs(g, v, shared)
-                b = run_bfs(g, v)
+                a = kernel.bfs(v)
+                b = TraversalKernel(g).bfs(v)
                 assert a.eccentricity == b.eccentricity
                 assert a.visited_count == b.visited_count
             elif kind == 1:
                 cap = int(rng.integers(0, 5))
-                a = partial_bfs_levels(g, [v], cap, shared)
-                b = partial_bfs_levels(g, [v], cap)
+                a = kernel.levels([v], cap)
+                b = TraversalKernel(g).levels([v], cap)
                 assert len(a) == len(b)
                 for la, lb in zip(a, b):
                     assert (la == lb).all()
             elif kind == 2:
                 r = int(rng.integers(0, 4))
-                assert (ball(g, v, r, shared) == ball(g, v, r)).all()
+                assert (kernel.ball(v, r) == TraversalKernel(g).ball(v, r)).all()
             else:
                 a = serial_bfs(g, v, shared)
                 b = serial_bfs(g, v)
@@ -55,15 +57,17 @@ class TestSharedMarksEquivalence:
         # correct (the epoch bump invalidates everything regardless).
         g, _ = random_gnp(40, 0.12, 92)
         marks = VisitMarks(40)
+        kernel = shared_kernel(g, marks)
         for v in range(0, 40, 5):
             s = serial_bfs(g, v, marks)
-            p = run_bfs(g, v, marks)
+            p = kernel.bfs(v)
             assert s.eccentricity == p.eccentricity
 
     def test_thousands_of_epochs(self):
         g, _ = random_gnp(25, 0.15, 93)
         marks = VisitMarks(25)
-        expected = run_bfs(g, 0).eccentricity
+        kernel = shared_kernel(g, marks)
+        expected = TraversalKernel(g).bfs(0).eccentricity
         for _ in range(2000):
-            assert run_bfs(g, 0, marks).eccentricity == expected
+            assert kernel.bfs(0).eccentricity == expected
         assert marks.counter == 2000

@@ -153,6 +153,6 @@ def test_engines_agree_on_all_eccentricities(g):
     per_engine = []
     for engine in ENGINES:
         kernel = TraversalKernel(g, engine=engine)
-        per_engine.append([kernel.eccentricity(v) for v in range(g.num_vertices)])
+        per_engine.append([kernel.bfs(v).eccentricity for v in range(g.num_vertices)])
     for eccs in per_engine[1:]:
         assert eccs == per_engine[0]

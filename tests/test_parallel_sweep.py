@@ -264,20 +264,6 @@ class TestCallerEquality:
         assert multi.workers >= 1
         assert multi.backend in ("scalar", "serial", "bitparallel", "multiprocess")
 
-    def test_sumsweep_workers_match_scalar(self, graph):
-        from repro.baselines.sumsweep import sumsweep_diameter
-
-        scalar = sumsweep_diameter(graph, batch_lanes=0)
-        multi = sumsweep_diameter(graph, batch_lanes=64, workers=2)
-        assert multi.diameter == scalar.diameter
-
-    def test_takes_kosters_workers_match_scalar(self, graph):
-        from repro.baselines.takes_kosters import bounding_diameters
-
-        scalar = bounding_diameters(graph, batch_lanes=0)
-        multi = bounding_diameters(graph, batch_lanes=64, workers=2)
-        assert multi.diameter == scalar.diameter
-
     def test_query_engine_workers_match(self, graph):
         from repro.query import QueryEngine
 

@@ -10,7 +10,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.bfs import run_bfs, serial_bfs, serial_distances
+from repro.bfs import TraversalKernel, serial_bfs, serial_distances
 from repro.graph import from_edge_arrays
 
 
@@ -31,8 +31,8 @@ def graph_and_source(draw, max_n=30):
 @given(graph_and_source(), st.floats(min_value=0.01, max_value=0.99))
 def test_engines_equivalent(pair, threshold):
     g, source = pair
-    hybrid = run_bfs(g, source, threshold=threshold, record_dist=True)
-    topdown = run_bfs(g, source, directions=False, record_dist=True)
+    hybrid = TraversalKernel(g, threshold=threshold).bfs(source, record_dist=True)
+    topdown = TraversalKernel(g, directions=False).bfs(source, record_dist=True)
     scalar = serial_bfs(g, source, record_dist=True)
     reference = serial_distances(g, source)
 
@@ -51,7 +51,7 @@ def test_engines_equivalent(pair, threshold):
 def test_level_cap_prefix_property(pair, cap):
     """A level-capped BFS visits exactly the distance <= cap prefix."""
     g, source = pair
-    capped = run_bfs(g, source, max_level=cap)
+    capped = TraversalKernel(g).bfs(source, max_level=cap)
     dist = serial_distances(g, source)
     expected = int(np.count_nonzero((dist >= 0) & (dist <= cap)))
     assert capped.visited_count == expected
@@ -62,7 +62,7 @@ def test_level_cap_prefix_property(pair, cap):
 @given(graph_and_source())
 def test_matches_networkx_distances(pair):
     g, source = pair
-    res = run_bfs(g, source, record_dist=True)
+    res = TraversalKernel(g).bfs(source, record_dist=True)
     G = nx.Graph()
     G.add_nodes_from(range(g.num_vertices))
     G.add_edges_from(g.iter_edges())

@@ -16,7 +16,6 @@ from repro.cache import WarmStartStore
 from repro.core.fdiam import fdiam
 from repro.errors import AlgorithmError
 from repro.generators import disjoint_union, path_graph, star_graph
-from repro.generators.grid import grid_2d
 from repro.query import BatchStats, QueryEngine, parse_query
 
 
@@ -62,6 +61,38 @@ class TestParse:
     def test_malformed_rejected(self, junk):
         with pytest.raises(AlgorithmError):
             parse_query(junk)
+
+
+class TestVertexIds:
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ["ecc", 2.7],
+            ["ecc", 2.0],
+            ["dist", True, 3.99],
+            ["dist", 0, False],
+            ["ecc", None],
+            ["ecc", [1]],
+            ["ecc", "2.7"],
+        ],
+    )
+    def test_non_integer_ids_rejected(self, query):
+        with pytest.raises(AlgorithmError, match="not an integer"):
+            parse_query(query)
+
+    def test_integer_ids_accepted(self):
+        assert parse_query(["ecc", np.int64(4)]) == ("ecc", 4)
+        assert parse_query(("dist", np.int32(1), "7")) == ("dist", 1, 7)
+        assert parse_query("dist 2 3") == ("dist", 2, 3)
+
+    def test_engine_rejects_truncatable_ids(self):
+        engine = QueryEngine()
+        key = engine.add_graph(path_graph(5), key="p")
+        with pytest.raises(AlgorithmError, match="not an integer"):
+            engine.run(key, [["ecc", 2.7]])
+        with pytest.raises(AlgorithmError, match="not an integer"):
+            engine.run(key, [["dist", True, 3.99]])
+        assert engine.run(key, [["ecc", np.int64(2)]])[0] == [2]
 
 
 class TestAnswers:
@@ -188,16 +219,6 @@ class TestAccounting:
 
 
 class TestRegistry:
-    def test_lru_eviction(self):
-        engine = QueryEngine(max_graphs=2)
-        a = engine.add_graph(path_graph(5), key="a")
-        b = engine.add_graph(star_graph(5), key="b")
-        engine.run(a, ["ecc 0"])  # touch a: b is now the LRU entry
-        engine.add_graph(grid_2d(3, 3), key="c")
-        with pytest.raises(AlgorithmError, match="unknown graph"):
-            engine.run(b, ["ecc 0"])
-        engine.run(a, ["ecc 0"])  # survivor still answers
-
     def test_remove_graph(self):
         engine = QueryEngine()
         key = engine.add_graph(path_graph(5), key="a")
@@ -214,8 +235,6 @@ class TestRegistry:
         assert answers == [4]
 
     def test_invalid_parameters(self):
-        with pytest.raises(AlgorithmError):
-            QueryEngine(max_graphs=0)
         with pytest.raises(AlgorithmError):
             QueryEngine(batch_lanes=0)
         with pytest.raises(AlgorithmError):

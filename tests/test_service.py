@@ -448,6 +448,41 @@ class TestMutation:
         assert snap["mutations"] == 2
         assert snap["mutated_edges"] == 2
 
+    def test_non_integer_ids_400_and_epoch_unchanged(self):
+        async def test(service, host, port):
+            async with ServiceClient(host, port) as client:
+                bad = {}
+                for label, queries in (
+                    ("float", [["ecc", 2.7]]),
+                    ("bool", [["dist", True, 3.99]]),
+                ):
+                    bad[label] = await client.request(
+                        "POST", "/query", {"graph": "g", "queries": queries}
+                    )
+                bad["mutate"] = await client.request(
+                    "POST", "/mutate", {"graph": "g", "insert": [[0.9, 5]]}
+                )
+                after = await client.query("g", "dist 0 5")
+                return bad, after
+
+        bad, (status, payload) = serve(
+            test,
+            graphs={"g": from_networkx(nx.path_graph(32))},
+            dynamic=True,
+        )
+        for label in ("float", "bool"):
+            code, body = bad[label]
+            assert code == 400, label
+            assert body["answers"] == [None]
+            assert "not an integer" in body["errors"][0]["error"]
+        code, body = bad["mutate"]
+        assert code == 400
+        assert "not an integer" in body["error"]
+        # Neither (0, 5) nor anything else was inserted.
+        assert status == 200
+        assert payload["answers"] == [5]
+        assert payload["epochs"] == [0]
+
     def test_mutate_static_graph_rejected(self):
         async def test(service, host, port):
             async with ServiceClient(host, port) as client:

@@ -19,7 +19,7 @@ def make_graph(n, seed):
 
 @pytest.fixture
 def engine():
-    engine = QueryEngine(max_graphs=64)
+    engine = QueryEngine()
     yield engine
     engine.close()
 
@@ -153,3 +153,45 @@ class TestLRU:
         registry.ensure("a")
         registry.ensure("b")
         assert not registry.snapshot()["graphs"]["a"]["resident"]
+
+
+class TestDynamicResidency:
+    def test_mutated_view_counts_toward_the_budget(self, engine):
+        # After a mutation the engine traverses the graph's merged view,
+        # a second CSR about the size of the base: it must count, so the
+        # next ensure of the mutated graph evicts the other resident.
+        a, b = make_graph(200, 1), make_graph(200, 2)
+        base_a, base_b = resident_bytes(a), resident_bytes(b)
+        registry = GraphRegistry(
+            engine, byte_budget=base_a + base_b + base_a // 4
+        )
+        registry.register("a", graph=a, dynamic=True)
+        registry.register("b", graph=b)
+        registry.ensure("a")
+        registry.ensure("b")
+        assert registry.evictions == 0
+
+        u, v = next(
+            (u, v) for u in range(200) for v in range(u + 1, 200)
+            if not a.has_edge(u, v)
+        )
+        engine.mutate("a", inserts=[(u, v)])
+        engine.run("a", ["ecc 0"])  # builds the epoch-1 view
+        snap = registry.snapshot()
+        assert snap["graphs"]["a"]["resident_bytes"] > base_a
+        assert snap["resident_bytes"] > registry.byte_budget
+
+        registry.ensure("a")
+        assert registry.evictions == 1
+        assert not registry.snapshot()["graphs"]["b"]["resident"]
+        assert "b" not in engine.graph_keys()
+        answers, _ = engine.run("a", [f"dist {u} {v}"])
+        assert answers == [1]
+
+    def test_unmutated_dynamic_graph_counts_its_base_once(self, engine):
+        graph = make_graph(120, 4)
+        registry = GraphRegistry(engine)
+        registry.register("g", graph=graph, dynamic=True)
+        registry.ensure("g")
+        engine.run("g", ["ecc 0"])  # the epoch-0 view shares the base
+        assert registry.resident_total == resident_bytes(graph)

@@ -102,7 +102,7 @@ class TestCacheStats:
         try:
             # Pre-existing store traffic must not be charged to the kernel.
             store.decode_block(0)
-            kernel = TraversalKernel(graph, block_gather="force")
+            kernel = TraversalKernel(graph, memory_mode="cached")
             kernel.levels([0], 2)
             ws = kernel.workspace.stats
             assert ws.store_block_requests > 0
@@ -121,7 +121,7 @@ class TestKernelBlockPath:
         graph = load_scsr(stored, mmap=True)
         try:
             plain = TraversalKernel(analog)
-            blocks = TraversalKernel(graph, block_gather="force")
+            blocks = TraversalKernel(graph, memory_mode="cached")
             sources = [0, 17, 4093]
             for a, b in zip(
                 plain.levels(sources, max_level),
@@ -146,19 +146,6 @@ class TestKernelBlockPath:
             next_b, edges_b = topdown_step_blocks(store, frontier, marks_b)
             assert np.array_equal(np.sort(next_a), np.sort(next_b))
             assert edges_a == edges_b
-
-    def test_off_policy_never_touches_the_store(self, stored):
-        graph = load_scsr(stored, mmap=True)
-        try:
-            kernel = TraversalKernel(graph, block_gather="off")
-            kernel.levels([0], 2)
-            assert graph.backing_store.stats.block_requests == 0
-        finally:
-            graph.backing_store.close()
-
-    def test_invalid_policy_rejected(self, analog):
-        with pytest.raises(AlgorithmError, match="block_gather"):
-            TraversalKernel(analog, block_gather="sometimes")
 
     def test_fdiam_answer_unchanged_by_block_path(self, analog, stored):
         from repro.core import FDiamConfig, fdiam
@@ -433,6 +420,7 @@ class TestKernelMemoryModes:
     def test_fdiam_bit_identical_across_budgets(self, analog, stored):
         from repro.core.config import FDiamConfig
         from repro.core.fdiam import fdiam
+        from repro.core.state import FDiamState
 
         want = fdiam(analog)
         graph = load_scsr(stored, mmap=True)
@@ -441,7 +429,9 @@ class TestKernelMemoryModes:
             for budget in (None, decoded // 4, 1024):
                 got = fdiam(graph, FDiamConfig(memory_budget=budget))
                 assert got.diameter == want.diameter
-            forced = fdiam(graph, FDiamConfig(memory_mode="stream"))
-            assert forced.diameter == want.diameter
+            # A zero budget always streams.
+            streamed = FDiamConfig(memory_budget=0)
+            assert FDiamState(graph, streamed).kernel.memory_mode == "stream"
+            assert fdiam(graph, streamed).diameter == want.diameter
         finally:
             graph.backing_store.close()
