@@ -113,6 +113,7 @@ def _stage_fdiam(graph, repeats):
         "wall_s": wall,
         "bfs_count": res.stats.bfs_traversals,
         "edges_examined": res.stats.edges_examined,
+        "sweeps": res.stats.ecc_sweeps,
         "diameter": res.diameter,
     }
 

@@ -42,7 +42,11 @@ def test_direction_threshold_sweep(benchmark):
             g = get_workload(name).graph
             fdiam(g)  # warm the graph caches out of the timings
             for threshold in THRESHOLDS:
-                config = FDiamConfig(threshold=threshold, keep_traces=True)
+                # The paper's one-BFS-at-a-time loop: the direction switch
+                # lives in the scalar BFS, and lane sweeps leave no traces.
+                config = FDiamConfig(
+                    threshold=threshold, keep_traces=True, ecc_lanes="off"
+                )
                 t0 = time.perf_counter()
                 result = fdiam(g, config)
                 rows.append(
@@ -55,7 +59,7 @@ def test_direction_threshold_sweep(benchmark):
                     }
                 )
             t0 = time.perf_counter()
-            result = fdiam(g, FDiamConfig(directions=False))
+            result = fdiam(g, FDiamConfig(directions=False, ecc_lanes="off"))
             rows.append(
                 {
                     "graph": name,

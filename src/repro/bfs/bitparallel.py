@@ -58,6 +58,10 @@ __all__ = [
 #: Logical traversals per lane word (the machine word width).
 LANE_WIDTH = 64
 
+#: Most arcs one gather of a sweep materializes at once (see
+#: :func:`_row_chunks`).
+_GATHER_CHUNK = 1 << 18
+
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
 
@@ -90,6 +94,25 @@ def segmented_or(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # this segment's end (empty segments contribute no elements).
     out[nonempty] = np.bitwise_or.reduceat(values, starts[nonempty], axis=0)
     return out
+
+
+def _row_chunks(indptr: np.ndarray, rows: np.ndarray) -> list[tuple[int, int]]:
+    """Split ``rows`` into consecutive slices of about ``_GATHER_CHUNK`` arcs.
+
+    A sweep's widest levels touch nearly every arc; gathering them in
+    slices keeps its scratch (the gathered ids, their lane words, the
+    gather ramp) at the size of one slice instead of the whole graph.
+    A single row longer than the limit still forms one slice.
+    """
+    if int(indptr[-1]) <= _GATHER_CHUNK:  # the whole graph fits one slice
+        return [(0, len(rows))]
+    ends = np.cumsum(indptr[rows + 1] - indptr[rows])
+    total = int(ends[-1])
+    if total <= _GATHER_CHUNK:
+        return [(0, len(rows))]
+    cuts = np.searchsorted(ends, np.arange(_GATHER_CHUNK, total, _GATHER_CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(rows)])))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def _lane_layout(k: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -215,22 +238,34 @@ def lane_sweep(
                 check()
             # Discovery: which vertices border the frontier at all. This
             # gather is shared by every lane in the batch.
-            neigh, _ = gather_rows(
-                indices, indptr[frontier], indptr[frontier + 1], pool=pool
+            parts = []
+            for lo, hi in _row_chunks(indptr, frontier):
+                neigh, _ = gather_rows(
+                    indices, indptr[frontier[lo:hi]], indptr[frontier[lo:hi] + 1],
+                    pool=pool,
+                )
+                edges += len(neigh)
+                parts.append(compact_unique(neigh, n, pool=pool))
+            cand = parts[0] if len(parts) == 1 else compact_unique(
+                np.concatenate(parts), n, pool=pool
             )
-            edges += len(neigh)
-            if len(neigh) == 0:
+            del parts, neigh
+            if len(cand) == 0:
                 break
-            cand = compact_unique(neigh, n, pool=pool)
             cand = cand[(reach[cand] != full).any(axis=1)]  # drop saturated
             if len(cand) == 0:
                 break
             # Pull: each candidate ORs its neighbours' frontier lane words.
-            vals, lengths = gather_rows(
-                indices, indptr[cand], indptr[cand + 1], pool=pool
-            )
-            edges += len(vals)
-            pulled = segmented_or(front[vals], lengths)
+            parts = []
+            for lo, hi in _row_chunks(indptr, cand):
+                vals, lengths = gather_rows(
+                    indices, indptr[cand[lo:hi]], indptr[cand[lo:hi] + 1], pool=pool
+                )
+                edges += len(vals)
+                parts.append(segmented_or(front[vals], lengths))
+                del vals
+            pulled = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            del parts
             pulled &= ~reach[cand]
             live = np.flatnonzero((pulled != _ZERO).any(axis=1))
             if len(live) == 0:

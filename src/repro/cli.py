@@ -867,6 +867,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"edges examined : {stats.edges_examined:,}")
         print(f"initial bound  : {stats.initial_bound} "
               f"({stats.bound_updates} upgrades)")
+        print(f"ecc batch      : {stats.ecc_batch} "
+              f"({stats.ecc_batch_reason or 'no main loop'})")
+        print(f"lane sweeps    : {stats.ecc_sweeps} "
+              f"({stats.redundant_evaluations} redundant evaluations)")
         if stats.warm_start:
             verdict = "verified" if stats.warm_verified else "distrusted"
             print(f"warm start     : witness BFS {verdict}")

@@ -6,31 +6,25 @@ resulted in too much redundant work, as concurrent Eliminate operations
 would overlap in removing vertices from consideration."
 
 This module reproduces that experiment. :func:`fdiam_concurrent` runs
-the F-Diam main loop in *batches* of ``batch_size`` eccentricity
-evaluations: the vertices of a batch are chosen from the active set
-up-front and all evaluated before any of their Eliminate operations are
-applied — exactly the information structure of ``batch_size`` BFS
-traversals running simultaneously (none sees the removals the others
-are about to cause). The returned report counts the **redundant
-evaluations**: batch members that the preceding members' Eliminates
-would have removed had they run serially. Batch size 1 is exactly the
-sequential F-Diam main loop.
+F-Diam's own main loop (:func:`repro.core.fdiam.main_loop`) with a
+forced batch of ``batch_size`` scalar eccentricity evaluations: the
+vertices of a batch are claimed from the active set up-front and all
+evaluated before any of their Eliminate operations are applied —
+exactly the information structure of ``batch_size`` BFS traversals
+running simultaneously (none sees the removals the others are about to
+cause). The report counts the **redundant evaluations**: batch members
+that the preceding members' Eliminates would have removed had they run
+serially. Batch size 1 is exactly the sequential F-Diam main loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.chain import process_chains
 from repro.core.config import FDiamConfig
-from repro.core.eliminate import eliminate
-from repro.core.extend import extend_eliminated
+from repro.core.fdiam import initial_stages, main_loop
 from repro.core.state import FDiamState
-from repro.core.stats import FDiamStats, Reason
-from repro.core.sweep import two_sweep
-from repro.core.winnow import winnow
+from repro.core.stats import FDiamStats
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 
@@ -45,9 +39,12 @@ class ConcurrentReport:
     connected: bool
     batch_size: int
     stats: FDiamStats
-    #: Eccentricity BFS calls that a serial order would have skipped —
-    #: the paper's "redundant work".
-    redundant_evaluations: int
+
+    @property
+    def redundant_evaluations(self) -> int:
+        """Eccentricity BFS calls that a serial order would have skipped —
+        the paper's "redundant work"."""
+        return self.stats.redundant_evaluations
 
     @property
     def redundancy_fraction(self) -> float:
@@ -72,68 +69,12 @@ def fdiam_concurrent(
         raise AlgorithmError("batch_size must be >= 1")
     if graph.num_vertices == 0:
         raise AlgorithmError("fdiam_concurrent requires a non-empty graph")
-    config = config or FDiamConfig()
-    state = FDiamState(graph, config)
-    n = graph.num_vertices
-
-    isolated = graph.isolated_vertices()
-    if len(isolated):
-        state.remove(isolated, np.int64(0), Reason.DEGREE_ZERO)
-    start = graph.max_degree_vertex() if config.use_max_degree_start else 0
-
-    sweep = two_sweep(state, start)
-    state.bound = sweep.bound
-    state.stats.initial_bound = sweep.bound
-    connected = sweep.visited_from_start == n
-
-    if config.use_winnow:
-        winnow(state, start, state.bound)
-    if config.use_chain:
-        process_chains(state)
-
-    redundant = 0
-    cursor = 0
-    while True:
-        # Claim the next batch of active vertices (id order, like the
-        # sequential driver).
-        batch: list[int] = []
-        while cursor < n and len(batch) < batch_size:
-            if state.is_active(cursor):
-                batch.append(cursor)
-            cursor += 1
-        if not batch:
-            if cursor >= n:
-                # One final sweep in case pruning re-activated nothing
-                # behind the cursor (it cannot), then stop.
-                break
-            continue
-
-        # Phase 1 — all traversals of the batch run "simultaneously":
-        # every member computes its true eccentricity with no knowledge
-        # of the others' pruning.
-        eccs = [state.ecc_bfs(v).eccentricity for v in batch]
-
-        # Phase 2 — apply the outcomes in order, counting how many
-        # members a serial schedule would never have evaluated.
-        for i, (v, ecc_v) in enumerate(zip(batch, eccs)):
-            if i > 0 and not state.is_active(v):
-                redundant += 1  # an earlier member's pruning covers v
-            state.remove(v, np.int64(ecc_v), Reason.COMPUTED)
-            if ecc_v > state.bound:
-                old = state.bound
-                state.bound = ecc_v
-                state.stats.bound_updates += 1
-                if config.use_winnow:
-                    winnow(state, start, state.bound)
-                if config.use_eliminate:
-                    extend_eliminated(state, old, state.bound)
-            elif config.use_eliminate and ecc_v < state.bound:
-                eliminate(state, v, ecc_v, state.bound)
-
+    state = FDiamState(graph, config or FDiamConfig())
+    start, connected = initial_stages(state)
+    main_loop(state, start, batch_size, lanes=False)
     return ConcurrentReport(
         diameter=state.bound,
         connected=connected,
         batch_size=batch_size,
         stats=state.stats,
-        redundant_evaluations=redundant,
     )

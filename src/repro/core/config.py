@@ -10,13 +10,15 @@ configuration changes, not code forks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, get_args
 
 from repro.bfs.kernel import DEFAULT_THRESHOLD, Engine
+from repro.errors import AlgorithmError
 
 __all__ = ["FDiamConfig", "ABLATIONS"]
 
 Order = Literal["sequential", "random"]
+EccLanes = Literal["auto", "off", "on"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,18 @@ class FDiamConfig:
         even a useful cache does not fit; ``0`` always streams).
         Exactness-preserving: the diameter and eccentricities are
         bit-identical with any value.
+    ecc_lanes:
+        How the main loop evaluates eccentricities. ``"off"`` is the
+        paper's loop: one BFS per still-active vertex, each seeing every
+        earlier vertex's pruning. ``"on"`` claims up to 64 still-active
+        vertices at a time and evaluates them in one bit-parallel lane
+        sweep (a lone claimed vertex still runs one scalar BFS).
+        ``"auto"`` (the default) decides once per run, after Chain
+        Processing: it batches only on hub-heavy graphs whose bound fits
+        the cost model's lane level cap with at least 8 lanes pending
+        (see DESIGN.md §8). Exact with any value; batching may evaluate
+        vertices a serial order would have pruned, which the run counts
+        as ``stats.redundant_evaluations``.
     verify:
         Attach the invariant oracle of :mod:`repro.verify` to the run:
         reference BFS distances are precomputed up front and every
@@ -113,7 +127,15 @@ class FDiamConfig:
     chain_tip_batch: bool = False
     prep: str = "off"
     memory_budget: int | None = None
+    ecc_lanes: EccLanes = "auto"
     verify: bool = False
+
+    def __post_init__(self) -> None:
+        if self.ecc_lanes not in get_args(EccLanes):
+            raise AlgorithmError(
+                f"ecc_lanes must be one of {get_args(EccLanes)}, "
+                f"got {self.ecc_lanes!r}"
+            )
 
     def ablate(self, **changes: object) -> "FDiamConfig":
         """A copy of this config with the given fields changed."""

@@ -9,7 +9,9 @@ Orchestrates the stages:
 5. loop over the remaining active vertices: compute the eccentricity;
    on a larger value, upgrade the bound, extend the winnow ball, and
    extend all eliminated regions with one multi-source sweep; otherwise
-   Eliminate around the vertex.
+   Eliminate around the vertex. On hub-heavy graphs with a short bound
+   the eccentricities are evaluated 64 at a time in one lane sweep
+   (``FDiamConfig.ecc_lanes``) and applied in the same order.
 
 The final bound is the exact largest eccentricity over all connected
 components — the diameter for connected inputs, and the paper's
@@ -24,18 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bfs.bitparallel import LANE_WIDTH
 from repro.core.chain import process_chains
 from repro.core.config import FDiamConfig
 from repro.core.eliminate import eliminate
 from repro.core.extend import extend_eliminated
-from repro.core.state import MAX_BOUND, WINNOWED, FDiamState
+from repro.core.state import ACTIVE, MAX_BOUND, WINNOWED, FDiamState
 from repro.core.stats import FDiamStats, Reason
 from repro.core.sweep import two_sweep, witness_sweep
 from repro.core.winnow import restore_winnow, winnow
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.graph.csr import CSRGraph
 
-__all__ = ["DiameterResult", "fdiam", "fdiam_with_state"]
+__all__ = [
+    "DiameterResult",
+    "ecc_batch_size",
+    "fdiam",
+    "fdiam_with_state",
+    "initial_stages",
+    "main_loop",
+]
 
 
 @dataclass(frozen=True)
@@ -166,9 +176,31 @@ def fdiam_with_state(
     """
     if graph.num_vertices == 0:
         raise AlgorithmError("fdiam() requires a graph with at least one vertex")
-    config = config or FDiamConfig()
-    state = FDiamState(graph, config, deadline=deadline)
-    stats = state.stats
+    state = FDiamState(graph, config or FDiamConfig(), deadline=deadline)
+    start, connected = initial_stages(state, warm)
+    main_loop(state, start)
+    if state.oracle is not None:
+        state.oracle.check_final(state, state.bound, connected)
+    result = DiameterResult(
+        diameter=state.bound,
+        connected=connected,
+        infinite=not connected,
+        stats=state.stats,
+    )
+    return result, state
+
+
+def initial_stages(state: FDiamState, warm=None) -> tuple[int, bool]:
+    """Algorithm 1 lines 1-5: everything before the main loop.
+
+    Removes degree-0 vertices, sets the initial bound (2-sweep, or one
+    witness BFS when ``warm``), then Winnows and runs Chain Processing —
+    or, for a verified warm start, discharges every vertex from the
+    cached certificates. Returns the Winnow centre (later extensions
+    reuse it) and whether the graph is connected.
+    """
+    config, stats = state.config, state.stats
+    graph = state.graph
     n = graph.num_vertices
 
     with stats.timing("other"):
@@ -182,7 +214,7 @@ def fdiam_with_state(
             warnings.warn(
                 "warm-start artifacts do not match the graph shape; "
                 "running cold",
-                stacklevel=2,
+                stacklevel=3,
             )
             warm = None
 
@@ -231,7 +263,7 @@ def fdiam_with_state(
                 f"warm-start witness eccentricity {sweep.bound} does not "
                 f"reproduce the cached diameter {int(warm.diameter)}; "
                 "distrusting the cached certificates and running cold",
-                stacklevel=2,
+                stacklevel=3,
             )
         if config.use_winnow:
             with stats.timing("winnow"):
@@ -245,54 +277,147 @@ def fdiam_with_state(
             if config.use_winnow and state.bound > sweep.bound:
                 with stats.timing("winnow"):
                     winnow(state, start, state.bound)
+    return start, connected
 
-    # ------------------------------------------------------------------
-    # Main loop (Algorithm 1 lines 6-21).
-    # ------------------------------------------------------------------
+
+def main_loop(
+    state: FDiamState,
+    start: int,
+    batch: int | None = None,
+    *,
+    lanes: bool = True,
+) -> None:
+    """Algorithm 1 lines 6-21: evaluate what the pruning left active.
+
+    ``pending`` — the still-active vertices in scan order — is found
+    in one vectorized pass; the scan then only has to skip the ones
+    later pruning removes, since nothing reactivates a vertex once the
+    main loop starts. Each round claims the next ``batch`` pending
+    vertices that are still active and evaluates them: one scalar BFS
+    for a lone vertex, else one lane sweep (``lanes``) or one scalar BFS
+    each. The results are applied in scan order, exactly as the serial
+    loop would: a member still active at its turn is removed as
+    COMPUTED and either raises the bound (winnow + extend) or runs
+    Eliminate. A member an earlier one pruned is a *redundant
+    evaluation* — the serial loop never evaluates it — and is dropped,
+    so the run's state evolves exactly as the serial loop's and the
+    logical BFS count grows by exactly the redundant evaluations.
+
+    ``batch=None`` takes the size from :func:`ecc_batch_size`; a forced
+    ``batch`` with ``lanes=False`` is the paper's concurrent-BFS study
+    (:mod:`repro.core.concurrent`).
+    """
+    config, stats = state.config, state.stats
+    n = state.graph.num_vertices
     if config.order == "random":
         order = np.random.default_rng(config.seed).permutation(n)
     else:
         order = np.arange(n)
+    status = state.status
+    deadline = state.kernel.deadline
+    pending = order[status[order] == ACTIVE]
+    if batch is None:
+        batch, reason = ecc_batch_size(state, len(pending))
+    else:
+        reason = f"forced batch of {batch}, scalar evaluation"
+    stats.ecc_batch, stats.ecc_batch_reason = batch, reason
 
-    for v in order:
-        v = int(v)
-        if not state.is_active(v):
-            continue
+    cursor = 0
+    while True:
+        members, cursor = _claim(status, pending, cursor, batch)
+        if not len(members):
+            break
         if deadline is not None and time.perf_counter() > deadline:
             raise BenchmarkTimeout(
                 f"F-Diam exceeded its time budget after "
                 f"{stats.eccentricity_bfs} eccentricity BFS calls"
             )
         with stats.timing("ecc_bfs"):
-            ecc_v = state.ecc_bfs(v).eccentricity
-        if state.oracle is not None:
-            state.oracle.check_computed(state, v, ecc_v)
-        state.remove(v, np.int64(ecc_v), Reason.COMPUTED)
+            if lanes and len(members) > 1:
+                eccs = state.ecc_lanes(members).tolist()
+            else:
+                eccs = [state.ecc_bfs(v).eccentricity for v in members.tolist()]
 
-        if ecc_v > state.bound:
-            old = state.bound
-            state.bound = ecc_v
-            stats.bound_updates += 1
-            if config.use_winnow:
-                with stats.timing("winnow"):
-                    winnow(state, start, state.bound)
-            if config.use_eliminate:
+        for v, ecc_v in zip(members.tolist(), eccs):
+            if state.oracle is not None:
+                state.oracle.check_computed(state, v, ecc_v)
+            if status[v] != ACTIVE:
+                stats.redundant_evaluations += 1
+                continue
+            state.remove(v, np.int64(ecc_v), Reason.COMPUTED)
+            if ecc_v > state.bound:
+                old = state.bound
+                state.bound = ecc_v
+                stats.bound_updates += 1
+                if config.use_winnow:
+                    with stats.timing("winnow"):
+                        winnow(state, start, state.bound)
+                if config.use_eliminate:
+                    with stats.timing("eliminate"):
+                        extend_eliminated(state, old, state.bound)
+            elif config.use_eliminate and ecc_v < state.bound:
                 with stats.timing("eliminate"):
-                    extend_eliminated(state, old, state.bound)
-        elif config.use_eliminate and ecc_v < state.bound:
-            with stats.timing("eliminate"):
-                eliminate(state, v, ecc_v, state.bound)
-        # ecc_v == bound: "F-Diam only eliminates v" — already done above.
+                    eliminate(state, v, ecc_v, state.bound)
+            # ecc_v == bound: "F-Diam only eliminates v" — done above.
 
-    if state.oracle is not None:
-        state.oracle.check_final(state, state.bound, connected)
-    result = DiameterResult(
-        diameter=state.bound,
-        connected=connected,
-        infinite=not connected,
-        stats=stats,
+
+def ecc_batch_size(state: FDiamState, pending: int) -> tuple[int, str]:
+    """Main-loop batch size for ``state.config.ecc_lanes``, with its reason.
+
+    ``"auto"`` batches 64 lanes only on a hub-heavy graph (the cost
+    model's degree-skew test) whose bound the cost model's lane verdict
+    accepts for ``min(64, pending)`` lanes: within the lane level cap
+    and with at least 8 lanes filled. Everywhere else — meshes, road
+    maps, anything with a long bound — the main loop's Eliminates do
+    prune each other's vertices, so it runs one BFS at a time.
+    """
+    mode = state.config.ecc_lanes
+    if mode == "off":
+        return 1, "ecc_lanes='off'"
+    if mode == "on":
+        return LANE_WIDTH, "ecc_lanes='on'"
+    # Call-time import: repro.parallel sits above the core layer.
+    from repro.parallel.costmodel import LevelSynchronousCostModel
+
+    graph = state.graph
+    model = LevelSynchronousCostModel()
+    n, m = graph.num_vertices, graph.num_directed_edges
+    max_degree = graph.max_degree()
+    if not model.hub_heavy(n, m, max_degree):
+        skew = max_degree * n / m if m else 0.0
+        return 1, (
+            f"degree skew {skew:.1f} below hub skew {model.params.hub_skew:.1f}"
+        )
+    ok, reason = model.lane_batch_verdict(state.bound, min(LANE_WIDTH, pending))
+    if not ok:
+        return 1, reason
+    return LANE_WIDTH, (
+        f"hub-heavy, bound {state.bound} within lane level cap "
+        f"{model.params.lane_level_cap}"
     )
-    return result, state
+
+
+def _claim(
+    status: np.ndarray, pending: np.ndarray, cursor: int, batch: int
+) -> tuple[np.ndarray, int]:
+    """The next ``batch`` still-active pending vertices, and the new cursor."""
+    if batch == 1:
+        while cursor < len(pending):
+            cursor += 1
+            if status[pending[cursor - 1]] == ACTIVE:
+                return pending[cursor - 1 : cursor], cursor
+        return pending[:0], cursor
+    parts = []
+    found = 0
+    while found < batch and cursor < len(pending):
+        window = pending[cursor : cursor + batch - found]
+        cursor += len(window)
+        live = window[status[window] == ACTIVE]
+        parts.append(live)
+        found += len(live)
+    if not parts:
+        return pending[:0], cursor
+    return np.concatenate(parts), cursor
 
 
 # ----------------------------------------------------------------------

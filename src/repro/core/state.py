@@ -192,7 +192,7 @@ class FDiamState:
             self.status[vertex] = ACTIVE
 
     # ------------------------------------------------------------------
-    # Eccentricity BFS through the configured engine
+    # Eccentricity BFS through the configured engine or a lane sweep
     # ------------------------------------------------------------------
     def ecc_bfs(self, vertex: int) -> BFSResult:
         """Run one counted eccentricity BFS with the configured engine.
@@ -208,13 +208,22 @@ class FDiamState:
             self.stats.traces.append(res.trace)
         return res
 
+    def ecc_lanes(self, vertices: np.ndarray) -> np.ndarray:
+        """Eccentricities of up to 64 vertices from one lane sweep.
+
+        The batched counterpart of :meth:`ecc_bfs`: each lane is one
+        logical eccentricity BFS under the Table 3 convention, and the
+        sweep itself counts once in ``stats.ecc_sweeps``. The kernel's
+        deadline is checked at every level of the sweep. Lane sweeps
+        record no per-level traces.
+        """
+        self.stats.eccentricity_bfs += len(vertices)
+        self.stats.ecc_sweeps += 1
+        return self.kernel.levels_batched64(vertices).eccentricities
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_active(self, vertex: int) -> bool:
-        """Whether ``vertex`` still needs its eccentricity considered."""
-        return bool(self.status[vertex] == ACTIVE)
-
     def active_mask(self) -> np.ndarray:
         """Boolean mask of all still-active vertices."""
         return self.status == ACTIVE

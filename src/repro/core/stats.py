@@ -134,10 +134,22 @@ class FDiamStats:
     num_vertices: int = 0
     num_edges: int = 0
 
-    # Traversal counters (Table 3 convention).
+    # Traversal counters (Table 3 convention). ``eccentricity_bfs`` is
+    # logical: a lane sweep adds one per lane it evaluates.
     eccentricity_bfs: int = 0
     winnow_calls: int = 0
     eliminate_calls: int = 0
+
+    #: Physical lane sweeps the main loop ran (each evaluates 2-64
+    #: eccentricities; scalar main-loop BFS are not counted here).
+    ecc_sweeps: int = 0
+    #: Main-loop evaluations of vertices that an earlier member of the
+    #: same batch had already pruned: the work a serial order skips.
+    redundant_evaluations: int = 0
+    #: Main-loop batch size chosen after Chain Processing (1 = one BFS
+    #: at a time) and why (``FDiamConfig.ecc_lanes`` and the gate).
+    ecc_batch: int = 1
+    ecc_batch_reason: str = ""
 
     # Bound evolution.
     initial_bound: int = 0
@@ -206,13 +218,20 @@ class FDiamStats:
 
         Used by the prep pipeline to combine the per-component F-Diam
         runs into one run-level view: traversal counters, removal
-        attribution, stage times, and traces add up; workspace
+        attribution, stage times, and traces add up; the main-loop
+        batch decision keeps the widest batch and its reason; workspace
         accounting sums its counters and keeps the larger peak.
         """
         self.eccentricity_bfs += other.eccentricity_bfs
         self.winnow_calls += other.winnow_calls
         self.eliminate_calls += other.eliminate_calls
         self.bound_updates += other.bound_updates
+        self.ecc_sweeps += other.ecc_sweeps
+        self.redundant_evaluations += other.redundant_evaluations
+        # The widest batch any component ran is the run's decision.
+        if other.ecc_batch > self.ecc_batch or not self.ecc_batch_reason:
+            self.ecc_batch = other.ecc_batch
+            self.ecc_batch_reason = other.ecc_batch_reason
         self.removed_by += other.removed_by
         for stage in StageTimes._STAGES:
             setattr(

@@ -7,6 +7,10 @@ EXPERIMENTS.md) and the rendered plain-text table/figure.
 Code names match the paper's: ``F-Diam (ser)``, ``F-Diam (par)``,
 ``iFUB (ser)``, ``iFUB (par)``, ``Graph-Diam.``. The serial/parallel
 split maps to the scalar and vectorized BFS engines (DESIGN.md §2).
+Every F-Diam code here runs the paper's one-BFS-at-a-time main loop
+(``ecc_lanes="off"``), so the counts in Tables 3-5 and the stage split
+of Figure 8 follow the paper's per-BFS schedule rather than the
+lane-batched default (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -67,9 +71,15 @@ class SuiteConfig:
     timeout_s: float = DEFAULT_TIMEOUT_S
 
 
+#: The paper's main loop: one eccentricity BFS at a time.
+PAPER_LOOP = FDiamConfig(ecc_lanes="off")
+
+
 def _fdiam_runner(config: FDiamConfig) -> Callable:
+    paper = config.ablate(ecc_lanes="off")
+
     def run(graph, deadline=None):
-        return fdiam(graph, config, deadline=deadline)
+        return fdiam(graph, paper, deadline=deadline)
 
     return run
 
@@ -163,7 +173,8 @@ def table2_runtimes(
             row = by_input.setdefault(r.graph_name, {"Graphs": r.graph_name})
             row[code_name] = float("inf") if r.timed_out else r.median_seconds
     text = render_table(
-        f"Table 2: Measured runtimes in seconds (T/O = timeout at {cfg.timeout_s:g}s)",
+        f"Table 2: Measured runtimes in seconds (T/O = timeout at "
+        f"{cfg.timeout_s:g}s; F-Diam runs the paper's one-BFS-at-a-time loop)",
         ["Graphs", *CODES.keys()],
         by_input.values(),
     )
@@ -236,7 +247,7 @@ def table4_stage_effectiveness(cfg: SuiteConfig | None = None) -> ExperimentRepo
     rows = []
     fractions_by_input: dict[str, dict[str, float]] = {}
     for wl in iter_workloads(cfg.inputs):
-        result = fdiam(wl.graph)
+        result = fdiam(wl.graph, PAPER_LOOP)
         frac = result.stats.removal_fractions()
         fractions_by_input[wl.name] = frac
         rows.append(
@@ -262,7 +273,7 @@ def fig8_runtime_breakdown(cfg: SuiteConfig | None = None) -> ExperimentReport:
     cfg = cfg or SuiteConfig()
     shares: dict[str, dict[str, float]] = {}
     for wl in iter_workloads(cfg.inputs):
-        result = fdiam(wl.graph)
+        result = fdiam(wl.graph, PAPER_LOOP)
         shares[wl.name] = result.stats.times.fractions()
     text = stacked_percent_bars(
         "Figure 8: Percentage of runtime of each function in F-Diam", shares

@@ -90,8 +90,10 @@ class CostModelParams:
     #: gathers), so the default sits above ``edge_rate``.
     lane_word_rate: float = 100e6
     #: Degree skew (max degree over average degree) above which a graph
-    #: counts as hub-heavy for :meth:`.estimate_diameter` — small-world
-    #: ``~log n`` scaling instead of mesh/road ``~sqrt n`` scaling.
+    #: counts as hub-heavy (:meth:`.hub_heavy`): small-world ``~log n``
+    #: scaling instead of mesh/road ``~sqrt n`` scaling for
+    #: :meth:`.estimate_diameter`, and lane-batched main-loop
+    #: eccentricities in F-Diam.
     hub_skew: float = 4.0
     #: Largest estimated diameter at which a lane sweep (spectrum
     #: bounding rounds, chain-tip batches, 64 sources per word) still
@@ -263,12 +265,27 @@ class LevelSynchronousCostModel:
         """
         if num_vertices <= 1:
             return 0
-        average = num_directed_edges / num_vertices
-        if average > 1.0 and max_degree >= self.params.hub_skew * average:
-            estimate = 2.0 * log(num_vertices) / log(average)
+        if self.hub_heavy(num_vertices, num_directed_edges, max_degree):
+            estimate = 2.0 * log(num_vertices) / log(num_directed_edges / num_vertices)
         else:
             estimate = 1.5 * sqrt(num_vertices)
         return max(1, ceil(estimate))
+
+    def hub_heavy(
+        self, num_vertices: int, num_directed_edges: int, max_degree: int
+    ) -> bool:
+        """Whether ``max_degree >= hub_skew * average_degree`` (average above 1).
+
+        The small-world test behind :meth:`estimate_diameter`, also the
+        structural half of F-Diam's main-loop lane gate: on hub-heavy
+        graphs most vertices left for the main loop have eccentricity
+        equal to the bound, so their Eliminates prune nothing and a
+        lane batch wastes little.
+        """
+        if num_vertices <= 0:
+            return False
+        average = num_directed_edges / num_vertices
+        return average > 1.0 and max_degree >= self.params.hub_skew * average
 
     def reduction_gates(
         self,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from dataclasses import replace as dataclasses_replace
 
 import numpy as np
 
@@ -84,13 +83,14 @@ class ScalingStudy:
         """Trace one F-Diam run on ``graph`` and model every thread count.
 
         ``config`` selects the engine (and any other F-Diam knobs) the
-        traced run uses; trace collection is forced on. The default
-        remains the parallel engine the paper's Figure 7 measures.
+        traced run uses; trace collection is forced on, and so is the
+        paper's one-BFS-at-a-time main loop (lane sweeps record no
+        per-level traces). The default remains the parallel engine the
+        paper's Figure 7 measures.
         """
-        if config is None:
-            config = FDiamConfig(engine="parallel", keep_traces=True)
-        elif not config.keep_traces:
-            config = dataclasses_replace(config, keep_traces=True)
+        config = (config or FDiamConfig(engine="parallel")).ablate(
+            keep_traces=True, ecc_lanes="off"
+        )
         result = fdiam(graph, config)
         traces = result.stats.traces
         if not traces:

@@ -29,6 +29,12 @@ lane word because arrivals are dense, and nobody waits longer than
 needed. Under light load the clamp rises to the configured ceiling:
 a lone query waits at most ``window_s`` before running solo.
 
+Epochs never go backwards: the scheduler remembers the epoch of the
+last batch it answered for each graph, and a batch that reports a
+smaller one fails every rider (HTTP 500) and is counted in
+``epoch_regressions`` — an answer from an older graph than one already
+served is never returned.
+
 Admission control: at most ``max_pending`` queries may be waiting
 across all graphs. Excess submissions fail fast with
 :class:`QueueFullError` (the server's 429) *before* touching any
@@ -128,6 +134,9 @@ class CoalescingScheduler:
         self.config = config or SchedulerConfig()
         self.stats = stats if stats is not None else ServiceStats()
         self._pending: dict[str, list[_Pending]] = {}
+        #: Epoch of the last batch answered per graph key: a later batch
+        #: reporting a smaller one is failed, never answered.
+        self._last_epoch: dict[str, int] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._inflight: set[asyncio.Task] = set()
         self._total_pending = 0
@@ -257,6 +266,23 @@ class CoalescingScheduler:
                         BatchFailedError(f"batch failed: {exc}")
                     )
         else:
+            last = self._last_epoch.get(key, 0)
+            if batch_stats.epoch < last:
+                # Answers computed on an older graph than riders of an
+                # earlier batch already saw: fail loudly instead.
+                self.stats.epoch_regressions += 1
+                self.stats.failed_batches += 1
+                for p in batch:
+                    if not p.future.done():
+                        p.future.set_exception(
+                            BatchFailedError(
+                                f"graph {key!r} epoch went backwards: batch "
+                                f"ran at epoch {batch_stats.epoch} after "
+                                f"epoch {last} was answered"
+                            )
+                        )
+                return
+            self._last_epoch[key] = batch_stats.epoch
             self.stats.observe_batch(
                 batch_stats, window_s=self.stats.last_window_s
             )

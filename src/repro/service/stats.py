@@ -93,6 +93,9 @@ class ServiceStats:
     invalid: int = 0
     #: Batches whose engine run raised (every rider got a 500).
     failed_batches: int = 0
+    #: Batches that reported an older graph epoch than one already
+    #: answered (failed with a 500, also counted in ``failed_batches``).
+    epoch_regressions: int = 0
     #: Batches dispatched to the engine.
     batches: int = 0
     #: Queries carried by those batches.
@@ -154,6 +157,7 @@ class ServiceStats:
             "rejected": self.rejected,
             "invalid": self.invalid,
             "failed_batches": self.failed_batches,
+            "epoch_regressions": self.epoch_regressions,
             "batches": self.batches,
             "batched_queries": self.batched_queries,
             "coalescing_ratio": round(self.coalescing_ratio, 3),

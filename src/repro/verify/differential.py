@@ -44,7 +44,7 @@ __all__ = [
 
 
 #: The full configuration lattice a trial sweeps: engines × prep ×
-#: chain-tip lanes × ablations × order. Cache warm/cold and the query
+#: chain-tip lanes × main-loop lanes × ablations × order. Cache warm/cold and the query
 #: engine are exercised separately in :func:`run_trial` (they need a
 #: store and a query batch, not just a config).
 CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
@@ -53,6 +53,7 @@ CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
     ("fdiam/par+prep", FDiamConfig(prep="auto")),
     ("fdiam/ser+prep", FDiamConfig(engine="serial", prep="auto")),
     ("fdiam/par+tip-batch", FDiamConfig(chain_tip_batch=True)),
+    ("fdiam/ecc-lanes", FDiamConfig(ecc_lanes="on")),
     ("fdiam/random-order", FDiamConfig(order="random", seed=7)),
     ("fdiam/no-winnow", FDiamConfig(use_winnow=False)),
     ("fdiam/no-elim", FDiamConfig(use_eliminate=False)),

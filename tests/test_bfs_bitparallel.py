@@ -91,6 +91,25 @@ class TestLaneSweepVsSerial:
             np.testing.assert_array_equal(dist[j], ref)
             assert sweep.eccentricities[j] == ref.max(initial=0)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_gathers_change_nothing(self, chunk, monkeypatch):
+        # Wide levels are gathered in slices of about _GATHER_CHUNK arcs;
+        # shrinking the slice forces many per level (and rows longer
+        # than a slice), which must not change any distance or count.
+        import repro.bfs.bitparallel as bitparallel
+
+        g = random_graph(150, 400, seed=chunk, extra_isolated=2)
+        sources = np.random.default_rng(chunk).integers(0, g.num_vertices, size=70)
+        whole_dist, whole = lane_distances(g, sources)
+        monkeypatch.setattr(bitparallel, "_GATHER_CHUNK", chunk)
+        dist, sweep = lane_distances(g, sources)
+        np.testing.assert_array_equal(dist, whole_dist)
+        np.testing.assert_array_equal(sweep.eccentricities, whole.eccentricities)
+        assert (sweep.levels, sweep.edges_examined) == (
+            whole.levels,
+            whole.edges_examined,
+        )
+
     def test_empty_source_set(self):
         g = path_graph(5)
         dist, sweep = lane_distances(g, np.empty(0, dtype=np.int64))

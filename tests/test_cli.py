@@ -42,6 +42,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "BFS traversals" in out
         assert "winnow" in out
+        assert "ecc batch      : 1 (degree skew" in out
+        assert "lane sweeps    : 0 (0 redundant evaluations)" in out
+
+    def test_stats_report_lane_batching(self, tmp_path, capsys):
+        from repro.generators import barabasi_albert
+
+        path = tmp_path / "ba.el"
+        write_edge_list(barabasi_albert(600, 3, seed=5), path)
+        assert main([str(path), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "ecc batch      : 64 (hub-heavy, bound " in out
+        assert "lane sweeps    : 0 (" not in out
 
     def test_spectrum_flag(self, grid_file, capsys):
         assert main([grid_file, "--spectrum"]) == 0

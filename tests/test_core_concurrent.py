@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from conftest import nx_cc_diameter, random_gnp, to_nx
+from repro.core import FDiamConfig
 from repro.core.concurrent import fdiam_concurrent
 from repro.errors import AlgorithmError
 from repro.generators import add_tendrils, barabasi_albert, grid_2d, road_network
@@ -34,9 +35,10 @@ class TestRedundancy:
     def test_batch_one_equals_sequential_fdiam(self):
         g = add_tendrils(barabasi_albert(3000, 5, seed=9), 15, 3, 8, seed=9)
         report = fdiam_concurrent(g, 1)
-        sequential = repro.fdiam(g)
+        sequential = repro.fdiam(g, FDiamConfig(ecc_lanes="off"))
         assert report.diameter == sequential.diameter
         assert report.stats.eccentricity_bfs == sequential.stats.eccentricity_bfs
+        assert report.stats.edges_examined == sequential.stats.edges_examined
         assert report.redundant_evaluations == 0
 
     def test_larger_batches_do_redundant_work(self):

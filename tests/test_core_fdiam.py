@@ -191,18 +191,57 @@ class TestPinnedAnalogCounts:
     """
 
     @pytest.mark.parametrize(
-        "name,diameter,infinite,bfs,edges",
+        "name,config,diameter,infinite,bfs,edges",
         [
-            ("USA-road-d.NY", 121, True, 32, 645_464),
-            ("internet", 28, False, 24, 714_697),
+            pytest.param(
+                "USA-road-d.NY", FDiamConfig(), 121, True, 32, 645_464,
+                id="USA-road-d.NY-121-True-32-645464",
+            ),
+            # The paper's one-BFS-at-a-time loop; the default batches
+            # internet's main loop (see the lane-batched pins below).
+            pytest.param(
+                "internet", FDiamConfig(ecc_lanes="off"), 28, False, 24, 714_697,
+                id="internet-28-False-24-714697",
+            ),
         ],
     )
-    def test_counts_match_recorded(self, name, diameter, infinite, bfs, edges):
-        res = fdiam(build_analog(name))
+    def test_counts_match_recorded(
+        self, name, config, diameter, infinite, bfs, edges
+    ):
+        res = fdiam(build_analog(name), config)
         assert res.diameter == diameter
         assert res.infinite == infinite
         assert res.stats.bfs_traversals == bfs
         assert res.stats.edges_examined == edges
+        assert res.stats.ecc_sweeps == 0
+
+    @pytest.mark.parametrize(
+        "name,diameter,infinite,bfs,edges,sweeps,redundant",
+        [
+            # Same logical count as the scalar pin above; the 23 main-loop
+            # eccentricities share one lane sweep's gathers.
+            ("internet", 28, False, 24, 555_886, 1, 0),
+            # One 42-lane sweep: 15 members an earlier member pruned.
+            ("rmat16.sym", 13, True, 43, 1_085_536, 1, 15),
+        ],
+    )
+    def test_lane_batched_default_counts(
+        self, name, diameter, infinite, bfs, edges, sweeps, redundant
+    ):
+        # Recorded when the hub-heavy main loop started batching its
+        # eccentricities by default.
+        res = fdiam(build_analog(name))
+        st = res.stats
+        assert res.diameter == diameter
+        assert res.infinite == infinite
+        assert st.bfs_traversals == bfs
+        assert st.edges_examined == edges
+        assert st.ecc_sweeps == sweeps
+        assert st.redundant_evaluations == redundant
+        assert st.ecc_batch == 64
+        # Redundant lanes are the only extra logical work.
+        scalar = fdiam(build_analog(name), FDiamConfig(ecc_lanes="off")).stats
+        assert st.bfs_traversals == scalar.bfs_traversals + redundant
 
     @pytest.mark.parametrize(
         "name,bfs", [("USA-road-d.NY", 100), ("internet", 9)]

@@ -14,6 +14,24 @@ class TestScalingStudy:
         assert [p.num_threads for p in points] == list(PAPER_THREAD_COUNTS)
         assert all(p.modeled_seconds > 0 for p in points)
 
+    def test_hub_heavy_input_models_every_paper_bfs(self):
+        # The default config batches main-loop eccentricities on
+        # hub-heavy graphs, and lane sweeps leave no traces: the study
+        # must trace the paper's one-BFS-at-a-time loop instead.
+        from repro.core import FDiamConfig, fdiam
+        from repro.generators import barabasi_albert
+        from repro.parallel import LevelSynchronousCostModel
+
+        g = barabasi_albert(2000, 3, seed=1)
+        study = ScalingStudy()
+        points = study.run_input(g)
+        paper = fdiam(g, FDiamConfig(keep_traces=True, ecc_lanes="off")).stats
+        assert len(paper.traces) == paper.eccentricity_bfs
+        model = LevelSynchronousCostModel(study.params)
+        assert points[0].modeled_seconds == pytest.approx(
+            model.run_time(paper.traces, points[0].num_threads)
+        )
+
     def test_speedup_monotone_to_core_count(self):
         # A graph with substantial per-level work (the regime the model
         # is calibrated for; tiny toy graphs are barrier-dominated).

@@ -483,6 +483,42 @@ class TestMutation:
         assert payload["answers"] == [5]
         assert payload["epochs"] == [0]
 
+    def test_stale_epoch_fails_loudly(self, monkeypatch):
+        async def test(service, host, port):
+            async with ServiceClient(host, port) as client:
+                status, payload = await client.mutate("g", insert=[(0, 9)])
+                assert status == 200 and payload["epoch"] == 1
+                status, payload = await client.query("g", "dist 0 31")
+                assert status == 200 and payload["epochs"] == [1]
+
+                original = service.engine.run
+
+                def stale_run(key, queries):
+                    # Force the engine to report the pre-mutation epoch.
+                    answers, stats = original(key, queries)
+                    stats.epoch = 0
+                    return answers, stats
+
+                monkeypatch.setattr(service.engine, "run", stale_run)
+                stale = await client.query("g", "dist 0 31")
+                monkeypatch.setattr(service.engine, "run", original)
+                after = await client.query("g", "dist 0 31")
+                return stale, after, await client.stats()
+
+        (code, body), (status, payload), stats = serve(
+            test,
+            graphs={"g": from_networkx(nx.path_graph(32))},
+            dynamic=True,
+        )
+        assert code == 500
+        assert body["answers"] == [None]
+        assert "epoch went backwards" in body["errors"][0]["error"]
+        assert stats["service"]["epoch_regressions"] == 1
+        assert stats["service"]["failed_batches"] == 1
+        # The failure is per batch: the next one answers normally.
+        assert status == 200 and payload["epochs"] == [1]
+        assert payload["answers"] == [23]
+
     def test_mutate_static_graph_rejected(self):
         async def test(service, host, port):
             async with ServiceClient(host, port) as client:

@@ -49,6 +49,7 @@ class TestTrialCleanliness:
             "fdiam/ser",
             "fdiam/par+prep",
             "fdiam/par+tip-batch",
+            "fdiam/ecc-lanes",
             "fdiam/random-order",
             "fdiam/no-winnow",
             "fdiam/no-elim",
@@ -59,6 +60,7 @@ class TestTrialCleanliness:
         assert any(not c.use_winnow for c in configs)
         assert any(c.prep != "off" for c in configs)
         assert any(c.chain_tip_batch for c in configs)
+        assert any(c.ecc_lanes == "on" for c in configs)
         assert {c.engine for c in configs} == {"parallel", "serial"}
 
     def test_budget_cells_run_in_their_memory_modes(self, tmp_path):
