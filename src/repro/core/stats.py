@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
 
 from repro.bfs.instrumentation import BFSTrace
 from repro.bfs.kernel import WorkspaceStats
+
+#: Workspace fields that merge as a high-water mark; the rest are summed.
+_HIGH_WATER = frozenset({"peak_scratch_bytes", "owned_bytes", "shm_bytes"})
 
 __all__ = ["Reason", "StageTimes", "PrepStats", "FDiamStats"]
 
@@ -220,7 +223,8 @@ class FDiamStats:
         runs into one run-level view: traversal counters, removal
         attribution, stage times, and traces add up; the main-loop
         batch decision keeps the widest batch and its reason; workspace
-        accounting sums its counters and keeps the larger peak.
+        accounting sums every field except the high-water marks
+        (:data:`_HIGH_WATER`), which keep the larger value.
         """
         self.eccentricity_bfs += other.eccentricity_bfs
         self.winnow_calls += other.winnow_calls
@@ -244,21 +248,9 @@ class FDiamStats:
             if self.workspace is None:
                 self.workspace = WorkspaceStats()
             mine, theirs = self.workspace, other.workspace
-            mine.buffer_requests += theirs.buffer_requests
-            mine.buffer_reuses += theirs.buffer_reuses
-            mine.lane_requests += theirs.lane_requests
-            mine.lane_reuses += theirs.lane_reuses
-            mine.lane_words_allocated += theirs.lane_words_allocated
-            mine.allocated_bytes += theirs.allocated_bytes
-            mine.peak_scratch_bytes = max(
-                mine.peak_scratch_bytes, theirs.peak_scratch_bytes
-            )
-            mine.epochs += theirs.epochs
-            mine.edges_examined += theirs.edges_examined
-            mine.owned_bytes = max(mine.owned_bytes, theirs.owned_bytes)
-            mine.shm_segments += theirs.shm_segments
-            mine.shm_bytes = max(mine.shm_bytes, theirs.shm_bytes)
-            mine.shm_resident += theirs.shm_resident
+            for f in fields(WorkspaceStats):
+                a, b = getattr(mine, f.name), getattr(theirs, f.name)
+                setattr(mine, f.name, max(a, b) if f.name in _HIGH_WATER else a + b)
 
     @contextmanager
     def timing(self, stage: str):
