@@ -34,11 +34,7 @@ import numpy as np  # noqa: E402
 
 from repro.harness.workloads import get_workload  # noqa: E402
 from repro.query import QueryEngine  # noqa: E402
-from repro.service import (  # noqa: E402
-    QueryService,
-    SchedulerConfig,
-    ServiceClient,
-)
+from repro.service import QueryService, ServiceClient  # noqa: E402
 
 #: Mix of query kinds in the synthetic trace.
 DIST_SHARE = 0.70
@@ -121,7 +117,6 @@ def run_load(
     *,
     n_requests: int = 200,
     concurrency: int = 64,
-    window_ms: float = 4.0,
     seed: int = 42,
     verify: bool = True,
 ) -> dict:
@@ -137,9 +132,7 @@ def run_load(
     )
 
     async def main():
-        service = QueryService(
-            config=SchedulerConfig(window_s=window_ms / 1e3)
-        )
+        service = QueryService()
         for key, graph in graphs.items():
             service.add_graph(key, graph=graph)
         host, port = await service.start()
@@ -176,7 +169,6 @@ def run_load(
     return {
         "requests": len(trace),
         "concurrency": concurrency,
-        "window_ms": window_ms,
         "wall_s": round(wall, 4),
         "qps": round(len(trace) / wall, 1),
         "p50_ms": latency["p50_ms"],
@@ -202,7 +194,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--concurrency", type=int, default=64)
-    parser.add_argument("--window-ms", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--no-verify",
@@ -217,7 +208,6 @@ def main(argv=None) -> int:
         graphs,
         n_requests=args.requests,
         concurrency=args.concurrency,
-        window_ms=args.window_ms,
         seed=args.seed,
         verify=not args.no_verify,
     )

@@ -186,7 +186,7 @@ def _stage_query_service_load(graph):
     Boots an in-process :class:`repro.service.QueryService`, replays a
     200-request zipf-skewed trace through 64 keep-alive HTTP clients,
     and audits every served answer against a cold serial engine. How
-    arrivals land in batching windows varies per run, so none of these
+    arrivals coalesce into batches varies per run, so none of these
     counters is a compare row; the ``service`` gate bounds them.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent))

@@ -383,33 +383,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=4.0,
-        metavar="MS",
-        help="batching-window ceiling: how long the first query of a "
-        "batch waits for company (default 4 ms)",
-    )
-    parser.add_argument(
-        "--min-window-ms",
-        type=float,
-        default=0.5,
-        metavar="MS",
-        help="adaptive-window floor (default 0.5 ms)",
-    )
-    parser.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="always wait the full window instead of scaling it with "
-        "the measured arrival rate",
-    )
-    parser.add_argument(
         "--batch-limit",
         type=int,
         default=256,
         metavar="K",
-        help="dispatch a window early once K queries are pending "
-        "(default 256)",
+        help="dispatch a graph's pending queries at once when K pile "
+        "up behind a running batch (default 256)",
     )
     parser.add_argument(
         "--max-pending",
@@ -487,9 +466,6 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     try:
         config = SchedulerConfig(
-            window_s=args.window_ms / 1e3,
-            min_window_s=min(args.min_window_ms, args.window_ms) / 1e3,
-            adaptive=not args.no_adaptive,
             batch_limit=args.batch_limit,
             max_pending=args.max_pending,
         )
@@ -527,8 +503,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         host, port = await service.start(args.host, args.port)
         print(
             f"listening on http://{host}:{port} "
-            f"(window {args.window_ms} ms, batch limit "
-            f"{args.batch_limit}, max pending {args.max_pending})",
+            f"(batch limit {args.batch_limit}, "
+            f"max pending {args.max_pending})",
             flush=True,
         )
         try:

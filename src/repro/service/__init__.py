@@ -5,15 +5,15 @@ mixed dist/ecc/diam queries into 64-lane sweeps — 256 queries in one
 edge-gather pass. Production traffic doesn't arrive pre-formed: it is
 many concurrent clients each holding one query. This package closes
 that gap with the trick inference servers use — **continuous
-batching**: an always-on asyncio HTTP/JSON server whose per-graph
-*batching window* coalesces in-flight requests into shared sweeps, so
-N concurrent single queries cost ~N/64 gather passes instead of N
-scalar BFS runs.
+batching**: an always-on asyncio HTTP/JSON server that runs a batch as
+soon as its dispatch thread is free and merges every request arriving
+meanwhile into the next one, so N concurrent single queries cost ~N/64
+gather passes instead of N scalar BFS runs.
 
 Layers (DESIGN.md §15):
 
-* :class:`~repro.service.scheduler.CoalescingScheduler` — the batching
-  window state machine, adaptive window sizing, admission control.
+* :class:`~repro.service.scheduler.CoalescingScheduler` — the
+  work-conserving idle/busy dispatch rule, admission control.
 * :class:`~repro.service.registry.GraphRegistry` — multi-graph
   residency under a byte budget with LRU eviction, composing with the
   out-of-core memory-mode routing for graphs bigger than the budget.

@@ -2,32 +2,24 @@
 
 The mechanism that turns PR 4's batched :class:`~repro.query.QueryEngine`
 into multi-user throughput. Requests arrive one at a time from
-concurrent clients; the scheduler holds each graph's arrivals in a
-*batching window* and dispatches them as one ``QueryEngine.run`` batch,
-so N concurrent single queries cost ~N/64 edge-gather passes instead of
-N scalar BFS runs.
+concurrent clients; the scheduler merges each graph's arrivals into one
+``QueryEngine.run`` batch, so N concurrent single queries cost ~N/64
+edge-gather passes instead of N scalar BFS runs.
 
-State machine per graph key (DESIGN.md §15):
+Dispatch is work-conserving: nothing ever waits on a timer (DESIGN.md
+§15.1).
 
-* **idle** — no pending queries, no timer.
-* **accumulating** — the first arrival arms a one-shot timer for the
-  chosen window; later arrivals pile into the same list. Reaching
-  ``batch_limit`` pending queries dispatches immediately (the window
-  is a latency bound, not a batch-size requirement).
-* **dispatch** — the timer (or the limit) fires: the pending list is
-  swapped out atomically on the event loop, pinned against registry
-  eviction, and run on the single dispatch thread. New arrivals start
-  accumulating the *next* batch immediately — batch k+1 fills while
-  batch k executes, which is exactly the continuous-batching overlap
-  inference servers use.
+* **idle** — no batch is dispatched and unfinished. An admitted query
+  is flushed at once: a lone query never waits for company.
+* **busy** — a batch is on the dispatch thread. Arrivals pile up per
+  graph key. When the last dispatched batch finishes (answered, failed
+  or cancelled), every key with pending queries is flushed, in arrival
+  order, so batch k+1 fills while batch k executes.
 
-Window tuning: the armed window is
-``clamp(min_window_s, window_s, 63 × EWMA inter-arrival gap)`` when
-``adaptive`` (the default). Under heavy load the gap is microseconds,
-so the window shrinks toward ``min_window_s`` — batches still fill a
-lane word because arrivals are dense, and nobody waits longer than
-needed. Under light load the clamp rises to the configured ceiling:
-a lone query waits at most ``window_s`` before running solo.
+Reaching ``batch_limit`` pending queries for one graph flushes at once
+even while busy. A flush swaps the pending list out atomically on the
+event loop, pins the graph against registry eviction, and queues the
+batch on the single dispatch thread.
 
 Epochs never go backwards: the scheduler remembers the epoch of the
 last batch it answered for each graph, and a batch that reports a
@@ -54,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import AlgorithmError, ReproError
-from repro.parallel.costmodel import LANE_WIDTH
 from repro.query.engine import parse_query
 from repro.service.stats import ServiceStats
 
@@ -65,9 +56,6 @@ __all__ = [
     "SchedulerConfig",
     "ServiceClosedError",
 ]
-
-#: EWMA smoothing for the inter-arrival gap estimate.
-_GAP_ALPHA = 0.2
 
 
 class QueueFullError(ReproError):
@@ -84,14 +72,8 @@ class BatchFailedError(ReproError):
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Knobs of the coalescing window (see module docstring)."""
+    """Knobs of the coalescing scheduler (see module docstring)."""
 
-    #: Ceiling on how long the first query of a batch waits (seconds).
-    window_s: float = 0.004
-    #: Floor of the adaptive window (seconds).
-    min_window_s: float = 0.0005
-    #: Scale the window with the measured arrival rate.
-    adaptive: bool = True
     #: Dispatch immediately once this many queries are pending for one
     #: graph (matches the engine's ``batch_lanes`` chunking).
     batch_limit: int = 256
@@ -99,10 +81,6 @@ class SchedulerConfig:
     max_pending: int = 1024
 
     def __post_init__(self):
-        if self.window_s < 0 or self.min_window_s < 0:
-            raise AlgorithmError("window durations must be >= 0")
-        if self.min_window_s > self.window_s:
-            raise AlgorithmError("min_window_s must be <= window_s")
         if self.batch_limit < 1:
             raise AlgorithmError("batch_limit must be >= 1")
         if self.max_pending < 1:
@@ -119,7 +97,7 @@ class _Pending:
 
 
 class CoalescingScheduler:
-    """Per-graph batching windows over one dispatch thread."""
+    """Per-graph pending lists over one dispatch thread."""
 
     def __init__(
         self,
@@ -137,11 +115,10 @@ class CoalescingScheduler:
         #: Epoch of the last batch answered per graph key: a later batch
         #: reporting a smaller one is failed, never answered.
         self._last_epoch: dict[str, int] = {}
-        self._timers: dict[str, asyncio.TimerHandle] = {}
         self._inflight: set[asyncio.Task] = set()
+        #: Batches dispatched and not yet finished (0 = idle).
+        self._running = 0
         self._total_pending = 0
-        self._ewma_gap: float | None = None
-        self._last_arrival: float | None = None
         self._closed = False
         self._dispatch = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-dispatch"
@@ -150,27 +127,12 @@ class CoalescingScheduler:
     # ------------------------------------------------------------------
     @property
     def pending_total(self) -> int:
-        """Queries currently waiting in a window (not yet dispatched)."""
+        """Queries admitted and waiting for a batch (not yet dispatched)."""
         return self._total_pending
-
-    def _pick_window(self) -> float:
-        window = self.config.window_s
-        if self.config.adaptive and self._ewma_gap is not None:
-            window = min(window, (LANE_WIDTH - 1) * self._ewma_gap)
-        return max(self.config.min_window_s, window)
-
-    def _note_arrival(self, now: float) -> None:
-        if self._last_arrival is not None:
-            gap = now - self._last_arrival
-            if self._ewma_gap is None:
-                self._ewma_gap = gap
-            else:
-                self._ewma_gap += _GAP_ALPHA * (gap - self._ewma_gap)
-        self._last_arrival = now
 
     # ------------------------------------------------------------------
     async def submit(self, key: str, query) -> tuple[int, int]:
-        """Coalesce one query into the graph's current window.
+        """Coalesce one query into the graph's next batch.
 
         Returns ``(answer, epoch)`` — the epoch is the graph's
         mutation epoch the carrying batch actually ran under (always 0
@@ -221,13 +183,8 @@ class CoalescingScheduler:
         pending.append(_Pending(parsed, future, t0))
         self._total_pending += 1
         self.stats.admitted += 1
-        self._note_arrival(time.perf_counter())
-        if len(pending) >= self.config.batch_limit:
+        if not self._running or len(pending) >= self.config.batch_limit:
             self._flush(key)
-        elif key not in self._timers:
-            window = self._pick_window()
-            self.stats.last_window_s = window
-            self._timers[key] = loop.call_later(window, self._flush, key)
 
         answer, epoch = await future
         self.stats.answered += 1
@@ -237,13 +194,11 @@ class CoalescingScheduler:
     # ------------------------------------------------------------------
     def _flush(self, key: str) -> None:
         """Swap out the graph's pending list and dispatch it."""
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
         batch = self._pending.pop(key, None)
         if not batch:
             return
         self._total_pending -= len(batch)
+        self._running += 1
         self.registry.pin(key)
         task = asyncio.get_running_loop().create_task(
             self._run_batch(key, batch)
@@ -283,14 +238,19 @@ class CoalescingScheduler:
                         )
                 return
             self._last_epoch[key] = batch_stats.epoch
-            self.stats.observe_batch(
-                batch_stats, window_s=self.stats.last_window_s
-            )
+            self.stats.observe_batch(batch_stats)
             for p, answer in zip(batch, answers):
                 if not p.future.done():
                     p.future.set_result((answer, batch_stats.epoch))
         finally:
             self.registry.unpin(key)
+            self._running -= 1
+            # Work-conserving: the dispatcher went idle, so everything
+            # that piled up behind this batch runs now. Without this
+            # re-flush nothing else would ever move those queries.
+            if not self._running:
+                for pending_key in list(self._pending):
+                    self._flush(pending_key)
 
     # ------------------------------------------------------------------
     async def submit_mutation(self, key: str, inserts=(), deletes=()):
@@ -301,7 +261,7 @@ class CoalescingScheduler:
         the dispatch thread (``QueryEngine.mutate`` swaps the entry's
         kernel/memo state, which must never race a batch), and queries
         admitted afterwards see the new epoch. This needs no global
-        lock: the key's currently-accumulating window is flushed first,
+        lock: the key's pending queries are flushed first,
         and since both batch runs and the mutation are submitted to the
         same single-worker executor in that order, FIFO execution on
         the dispatch thread is the serialization.
@@ -317,7 +277,7 @@ class CoalescingScheduler:
         await loop.run_in_executor(self._dispatch, self.registry.ensure, key)
         if self._closed:
             raise ServiceClosedError("service is shutting down")
-        # Dispatch the window the pre-mutation queries joined...
+        # Dispatch the queries admitted before the mutation...
         self._flush(key)
         # ... and let the freshly created batch task(s) reach their
         # run_in_executor submission (a task runs synchronously up to
@@ -338,7 +298,7 @@ class CoalescingScheduler:
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Flush every window and wait for in-flight batches."""
+        """Flush every pending list and wait for in-flight batches."""
         for key in list(self._pending):
             self._flush(key)
         while self._inflight:
@@ -350,9 +310,6 @@ class CoalescingScheduler:
             return
         self._closed = True
         await self.drain()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         for batch in self._pending.values():
             for p in batch:
                 if not p.future.done():

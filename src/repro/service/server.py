@@ -11,9 +11,9 @@ Endpoints:
 ``POST /query``
     Body ``{"graph": KEY, "queries": [Q, ...]}`` (or a single
     ``"query": Q``). Each query coalesces *individually* into the
-    graph's current batching window, so the queries of one request and
-    of every concurrent request share sweeps. Responds
-    ``{"graph": KEY, "answers": [...], "epochs": [...]}`` — the epoch
+    graph's next batch, so the queries of one request and of every
+    concurrent request that arrive while a batch runs share sweeps.
+    Responds ``{"graph": KEY, "answers": [...], "epochs": [...]}`` — the epoch
     per answer is the mutation epoch its carrying batch ran under
     (all zeros for static graphs). Errors are structured:
     400 malformed/out-of-range query, 404 unknown graph, 429 shed by
@@ -181,11 +181,6 @@ class QueryService:
             "service": self.stats.snapshot(),
             "scheduler": {
                 "pending": self.scheduler.pending_total,
-                "window_ms": round(1e3 * self.scheduler.config.window_s, 3),
-                "min_window_ms": round(
-                    1e3 * self.scheduler.config.min_window_s, 3
-                ),
-                "adaptive": self.scheduler.config.adaptive,
                 "batch_limit": self.scheduler.config.batch_limit,
                 "max_pending": self.scheduler.config.max_pending,
             },

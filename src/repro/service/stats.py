@@ -1,13 +1,13 @@
 """Service-side accounting: latency percentiles and coalescing ratios.
 
 Every admitted request records one end-to-end latency sample (submit →
-answer, including the batching-window wait); every dispatched batch
+answer, including the wait for the dispatch thread); every dispatched batch
 folds its :class:`repro.query.BatchStats` into the service totals. The
 two headline numbers the load harness and the ``/stats`` endpoint
 report:
 
 * **coalescing ratio** — queries per dispatched batch. 1.0 means the
-  window never merged anything; 64 means each batch filled a full
+  scheduler never merged anything; 64 means each batch filled a full
   lane word.
 * **gather-pass ratio** — scalar one-BFS-per-query traversals the
   served queries would have cost, divided by the physical edge-gather
@@ -83,7 +83,7 @@ class LatencyRecorder:
 class ServiceStats:
     """Lifetime counters of one :class:`~repro.service.QueryService`."""
 
-    #: Requests admitted into a batching window.
+    #: Requests admitted into a graph's pending list.
     admitted: int = 0
     #: Requests answered successfully.
     answered: int = 0
@@ -115,14 +115,12 @@ class ServiceStats:
     #: Edges actually inserted or deleted by those batches (noop
     #: requests excluded).
     mutated_edges: int = 0
-    #: The batching window the scheduler last armed (seconds).
-    last_window_s: float = 0.0
     #: Size and amortization of the most recent batch.
     last_batch: dict = field(default_factory=dict)
     #: End-to-end latency samples (submit -> answer).
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
 
-    def observe_batch(self, batch_stats, *, window_s: float) -> None:
+    def observe_batch(self, batch_stats) -> None:
         """Fold one dispatched batch's :class:`BatchStats` in."""
         self.batches += 1
         self.batched_queries += batch_stats.queries
@@ -131,12 +129,10 @@ class ServiceStats:
         self.bfs_sources += batch_stats.bfs_sources
         self.memo_hits += batch_stats.memo_hits
         self.edges_examined += batch_stats.edges_examined
-        self.last_window_s = window_s
         self.last_batch = {
             "queries": batch_stats.queries,
             "sweeps": batch_stats.sweeps,
             "memo_hits": batch_stats.memo_hits,
-            "window_ms": round(1e3 * window_s, 3),
         }
 
     @property
@@ -169,7 +165,6 @@ class ServiceStats:
             "edges_examined": self.edges_examined,
             "mutations": self.mutations,
             "mutated_edges": self.mutated_edges,
-            "last_window_ms": round(1e3 * self.last_window_s, 3),
             "last_batch": dict(self.last_batch),
             "latency": self.latency.snapshot(),
         }

@@ -153,18 +153,16 @@ class TestServeCLI:
 
         args = build_serve_parser().parse_args(["g.npz"])
         assert args.graphs == ["g.npz"]
-        assert args.window_ms == 4.0
         assert args.batch_limit == 256
         assert args.max_pending == 1024
-        assert not args.no_adaptive
 
     def test_missing_graph_file(self, capsys):
         assert main(["serve", "/nonexistent/g.npz"]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_bad_window_config(self, grid_file, capsys):
+    def test_bad_scheduler_config(self, grid_file, capsys):
         code = main([
-            "serve", grid_file, "--window-ms", "-1",
+            "serve", grid_file, "--batch-limit", "0",
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -193,7 +191,7 @@ class TestServeCLI:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", f"grid={path}",
-                "--port", "0", "--window-ms", "1", "--no-mmap",
+                "--port", "0", "--no-mmap",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
