@@ -81,24 +81,6 @@ def _plan_base_config(
     return base, json.dumps(record, sort_keys=True)
 
 
-def _pick_witness(state: FDiamState, diameter: int) -> int:
-    """A vertex whose eccentricity provably equals ``diameter``.
-
-    Preferably one whose eccentricity was explicitly evaluated
-    (COMPUTED); the bound-realizing vertex of a completed run always is,
-    but fall back through any exact-status vertex to the max-degree
-    start so a sidecar can be written for degenerate runs too.
-    """
-    status = state.status
-    exact = status == diameter
-    computed = exact & (state.reason == Reason.COMPUTED)
-    if computed.any():
-        return int(np.flatnonzero(computed)[0])
-    if exact.any():
-        return int(np.flatnonzero(exact)[0])
-    return state.graph.max_degree_vertex()
-
-
 def _collect_landmarks(
     graph: CSRGraph,
     status: np.ndarray,
@@ -146,7 +128,7 @@ def _artifacts_from_run(
     prep_plan: str,
 ) -> WarmArtifacts:
     """Snapshot a completed plain run into the sidecar schema."""
-    witness = _pick_witness(state, result.diameter)
+    witness = state.pick_witness(result.diameter)
     sources, dists, eccs = _collect_landmarks(
         graph,
         state.status,

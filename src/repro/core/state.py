@@ -231,3 +231,19 @@ class FDiamState:
     def active_count(self) -> int:
         """Number of still-active vertices."""
         return int(np.count_nonzero(self.status == ACTIVE))
+
+    def pick_witness(self, diameter: int) -> int:
+        """A vertex whose eccentricity provably equals ``diameter``.
+
+        Preferably one whose eccentricity was explicitly evaluated
+        (COMPUTED); the bound-realizing vertex of a completed run always
+        is, but fall back through any exact-status vertex to the
+        max-degree start so degenerate runs still name a witness.
+        """
+        exact = self.status == diameter
+        computed = exact & (self.reason == Reason.COMPUTED)
+        if computed.any():
+            return int(np.flatnonzero(computed)[0])
+        if exact.any():
+            return int(np.flatnonzero(exact)[0])
+        return self.graph.max_degree_vertex()

@@ -41,7 +41,6 @@ from repro.bfs.kernel import TraversalKernel
 from repro.core.config import FDiamConfig
 from repro.core.fdiam import fdiam_with_state
 from repro.core.state import MAX_BOUND
-from repro.core.stats import Reason
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import AlgorithmError
 
@@ -283,7 +282,7 @@ class DynamicDiameter:
             ).astype(np.int64)
             self._diameter = diameter
             self._connected = result.connected
-            self._witness = _pick_witness(state, diameter)
+            self._witness = state.pick_witness(diameter)
             self._last_cold_bfs = result.stats.bfs_traversals
             self._valid_epoch = epoch
             bfs = extra_bfs + result.stats.bfs_traversals
@@ -298,20 +297,3 @@ class DynamicDiameter:
         )
         self.last_repair = stats
         return stats
-
-
-def _pick_witness(state, diameter: int) -> int:
-    """A vertex whose eccentricity provably equals ``diameter``.
-
-    Same selection rule as the cache layer's sidecar writer: prefer an
-    explicitly evaluated vertex, fall back through any exact-status
-    vertex to the max-degree start.
-    """
-    status = state.status
-    exact = status == diameter
-    computed = exact & (state.reason == Reason.COMPUTED)
-    if computed.any():
-        return int(np.flatnonzero(computed)[0])
-    if exact.any():
-        return int(np.flatnonzero(exact)[0])
-    return state.graph.max_degree_vertex()

@@ -46,7 +46,12 @@ def parse_query(query, *, num_vertices: int | None = None) -> tuple:
     if isinstance(query, str):
         parts = query.split()
     else:
-        parts = list(query)
+        try:
+            parts = list(query)
+        except TypeError:
+            raise AlgorithmError(
+                f"malformed query {query!r}; expected a string or a sequence"
+            ) from None
     if not parts:
         raise AlgorithmError("empty query")
     kind = str(parts[0]).lower()

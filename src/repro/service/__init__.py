@@ -13,7 +13,9 @@ gather passes instead of N scalar BFS runs.
 Layers (DESIGN.md §15):
 
 * :class:`~repro.service.scheduler.CoalescingScheduler` — the
-  work-conserving idle/busy dispatch rule, admission control.
+  work-conserving idle/busy dispatch rule and event-loop-only
+  admission control; each batch job opens its own graph right before
+  it runs, so residency needs no pins.
 * :class:`~repro.service.registry.GraphRegistry` — multi-graph
   residency under a byte budget with LRU eviction, composing with the
   out-of-core memory-mode routing for graphs bigger than the budget.

@@ -22,17 +22,23 @@ each one may decode.
 Threading contract: :meth:`ensure`, :meth:`evict`, and :meth:`close`
 run on the scheduler's single dispatch thread (the same thread that
 runs ``QueryEngine`` batches), so the engine's registry and this one
-are mutated from exactly one thread. :meth:`pin`/:meth:`unpin` are
-called from the event loop and guarded by a lock; pinned graphs (ones
-with queries waiting or in flight) are never evicted. Neither is a
+are mutated from exactly one thread. Each batch job calls
+:meth:`ensure` and then runs its batch with nothing in between on that
+thread, so the graph a batch runs on is resident for the whole run
+without any pin. The event loop reads the spec table (:meth:`spec`)
+to answer 404s at admission and never opens or evicts.
+
+Eviction spares only the graph being ensured and a
 :class:`~repro.dynamic.DynamicGraph` that holds mutations (epoch > 0):
 a reopen would re-read the base file at epoch 0 and answer for the
-pre-mutation graph.
+pre-mutation graph. A graph whose batch is still queued may be evicted;
+its own job reopens it (an extra open, never an error). The budget is
+therefore overshot only by the graph being ensured and by mutated
+graphs.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.dynamic import DynamicGraph
@@ -104,8 +110,6 @@ class GraphRegistry:
         self.byte_budget = byte_budget
         self._specs: dict[str, GraphSpec] = {}
         self._resident: dict[str, _Resident] = {}  # insertion = LRU order
-        self._pins: dict[str, int] = {}
-        self._pin_lock = threading.Lock()
         self.opens = 0
         self.evictions = 0
 
@@ -132,29 +136,19 @@ class GraphRegistry:
     def keys(self) -> list[str]:
         return list(self._specs)
 
+    def spec(self, key: str) -> GraphSpec:
+        """The spec registered under ``key``; unknown keys raise
+        :class:`UnknownGraphError` (the server's 404)."""
+        spec = self._specs.get(key)
+        if spec is None:
+            raise UnknownGraphError(
+                f"unknown graph {key!r}; serveable: {sorted(self._specs)}"
+            )
+        return spec
+
     @property
     def resident_total(self) -> int:
         return sum(resident_bytes(r.graph) for r in self._resident.values())
-
-    # ------------------------------------------------------------------
-    # Pinning (event-loop side)
-    # ------------------------------------------------------------------
-    def pin(self, key: str) -> None:
-        """Protect ``key`` from eviction while queries reference it."""
-        with self._pin_lock:
-            self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: str) -> None:
-        with self._pin_lock:
-            count = self._pins.get(key, 0) - 1
-            if count <= 0:
-                self._pins.pop(key, None)
-            else:
-                self._pins[key] = count
-
-    def _pinned(self, key: str) -> bool:
-        with self._pin_lock:
-            return self._pins.get(key, 0) > 0
 
     # ------------------------------------------------------------------
     # Residency (dispatch-thread side)
@@ -162,11 +156,7 @@ class GraphRegistry:
     def ensure(self, key: str) -> CSRGraph:
         """Open ``key`` if cold, register it with the engine, and
         return the graph; refreshes LRU order and applies the budget."""
-        spec = self._specs.get(key)
-        if spec is None:
-            raise UnknownGraphError(
-                f"unknown graph {key!r}; serveable: {sorted(self._specs)}"
-            )
+        spec = self.spec(key)
         resident = self._resident.get(key)
         if resident is None:
             if spec.graph is not None:
@@ -195,16 +185,15 @@ class GraphRegistry:
                     k
                     for k in self._resident
                     if k != keep
-                    and not self._pinned(k)
                     and not _holds_mutations(self._resident[k].graph)
                 ),
                 None,
             )
             if victim is None:
-                # Everything else is pinned or mutated (or this is the
-                # only graph): allow the overshoot — shedding in-flight
-                # work or applied mutations to honor a byte budget
-                # would corrupt answers.
+                # Everything else is mutated (or this is the only
+                # graph): allow the overshoot — shedding the graph the
+                # next batch runs on, or applied mutations, to honor a
+                # byte budget would corrupt answers.
                 return
             self.evict(victim)
 

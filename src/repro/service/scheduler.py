@@ -18,8 +18,11 @@ Dispatch is work-conserving: nothing ever waits on a timer (DESIGN.md
 
 Reaching ``batch_limit`` pending queries for one graph flushes at once
 even while busy. A flush swaps the pending list out atomically on the
-event loop, pins the graph against registry eviction, and queues the
-batch on the single dispatch thread.
+event loop and queues one job for it on the single dispatch thread.
+The job owns residency: it opens the graph (``registry.ensure``),
+range-checks the riders against it, and runs the batch, with nothing
+else on the thread in between — so no eviction can strike between the
+open and the run, and nothing needs pinning.
 
 Epochs never go backwards: the scheduler remembers the epoch of the
 last batch it answered for each graph, and a batch that reports a
@@ -27,15 +30,16 @@ smaller one fails every rider (HTTP 500) and is counted in
 ``epoch_regressions`` — an answer from an older graph than one already
 served is never returned.
 
-Admission control: at most ``max_pending`` queries may be waiting
-across all graphs. Excess submissions fail fast with
-:class:`QueueFullError` (the server's 429) *before* touching any
-batch state, so shed load can never corrupt in-flight work.
+Admission never leaves the event loop: a submit answers 404 from the
+registry's spec table, 400 for bad syntax or sign, and 429 once
+``max_pending`` queries are waiting across all graphs — each checked
+once, since nothing awaits before the query joins its pending list.
+Shed load therefore never touches batch state or in-flight work.
 
 Threading contract: all scheduler state is mutated on the event-loop
-thread. Engine work — registry opens, evictions, and batch runs —
-happens on one dedicated dispatch thread (``QueryEngine`` is not
-thread-safe; a single worker serializes every mutation of it).
+thread. Engine work — registry opens, evictions, batch runs and
+mutations — happens on one dedicated dispatch thread (``QueryEngine``
+is not thread-safe; a single worker serializes every mutation of it).
 """
 
 from __future__ import annotations
@@ -142,35 +146,20 @@ class CoalescingScheduler:
 
         Raises :class:`~repro.service.registry.UnknownGraphError` for
         an unregistered key, :class:`~repro.errors.AlgorithmError` for
-        a malformed/out-of-range query (before it can join a batch),
-        :class:`QueueFullError` when admission control sheds it, and
-        :class:`ServiceClosedError` during shutdown.
+        a malformed query (before it can join a batch) or an
+        out-of-range one (from its batch job, without failing the
+        batch), :class:`QueueFullError` when admission control sheds
+        it, and :class:`ServiceClosedError` during shutdown.
         """
         t0 = time.perf_counter()
         if self._closed:
             raise ServiceClosedError("service is shutting down")
-        if self._total_pending >= self.config.max_pending:
-            self.stats.rejected += 1
-            raise QueueFullError(
-                f"{self._total_pending} queries pending "
-                f"(limit {self.config.max_pending}); retry later"
-            )
-        loop = asyncio.get_running_loop()
-        # Cold graphs open on the dispatch thread (mmap + sidecar load
-        # can take a while; the event loop keeps serving meanwhile).
-        graph = await loop.run_in_executor(
-            self._dispatch, self.registry.ensure, key
-        )
+        self.registry.spec(key)
         try:
-            parsed = parse_query(query, num_vertices=graph.num_vertices)
+            parsed = parse_query(query)
         except AlgorithmError:
             self.stats.invalid += 1
             raise
-        if self._closed:
-            raise ServiceClosedError("service is shutting down")
-        # Authoritative admission check: the await above yielded, so
-        # other submissions may have filled the queue since the fast
-        # pre-check.
         if self._total_pending >= self.config.max_pending:
             self.stats.rejected += 1
             raise QueueFullError(
@@ -178,7 +167,7 @@ class CoalescingScheduler:
                 f"(limit {self.config.max_pending}); retry later"
             )
 
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         pending = self._pending.setdefault(key, [])
         pending.append(_Pending(parsed, future, t0))
         self._total_pending += 1
@@ -193,26 +182,46 @@ class CoalescingScheduler:
 
     # ------------------------------------------------------------------
     def _flush(self, key: str) -> None:
-        """Swap out the graph's pending list and dispatch it."""
+        """Swap out the graph's pending list and queue its batch job.
+
+        ``run_in_executor`` submits at call time, so the job's place in
+        the dispatch thread's FIFO is fixed here: a mutation queued
+        after this flush runs after this batch.
+        """
         batch = self._pending.pop(key, None)
         if not batch:
             return
         self._total_pending -= len(batch)
         self._running += 1
-        self.registry.pin(key)
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(key, batch)
+        loop = asyncio.get_running_loop()
+        job = loop.run_in_executor(
+            self._dispatch, self._batch_job, key, [p.parsed for p in batch]
         )
+        task = loop.create_task(self._finish_batch(key, batch, job))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    async def _run_batch(self, key: str, batch: list[_Pending]) -> None:
-        queries = [p.parsed for p in batch]
-        loop = asyncio.get_running_loop()
+    def _batch_job(self, key: str, queries: list[tuple]):
+        """Dispatch thread: open the graph, set aside out-of-range
+        riders, run the rest.
+
+        Returns ``(errors, result)``: ``errors`` maps rider index to
+        its range error; ``result`` is ``engine.run``'s, or ``None``
+        when no rider was in range and the engine never ran.
+        """
+        n = self.registry.ensure(key).num_vertices
+        errors = {}
+        for i, q in enumerate(queries):
+            try:
+                parse_query(q, num_vertices=n)
+            except AlgorithmError as exc:
+                errors[i] = exc
+        runnable = [q for i, q in enumerate(queries) if i not in errors]
+        return errors, self.engine.run(key, runnable) if runnable else None
+
+    async def _finish_batch(self, key: str, batch: list[_Pending], job) -> None:
         try:
-            answers, batch_stats = await loop.run_in_executor(
-                self._dispatch, self.engine.run, key, queries
-            )
+            errors, result = await job
         except BaseException as exc:  # noqa: BLE001 - fail the riders, keep serving
             self.stats.failed_batches += 1
             for p in batch:
@@ -221,13 +230,21 @@ class CoalescingScheduler:
                         BatchFailedError(f"batch failed: {exc}")
                     )
         else:
+            for i, exc in errors.items():
+                self.stats.invalid += 1
+                if not batch[i].future.done():
+                    batch[i].future.set_exception(exc)
+            if result is None:
+                return
+            answers, batch_stats = result
+            riders = [p for i, p in enumerate(batch) if i not in errors]
             last = self._last_epoch.get(key, 0)
             if batch_stats.epoch < last:
                 # Answers computed on an older graph than riders of an
                 # earlier batch already saw: fail loudly instead.
                 self.stats.epoch_regressions += 1
                 self.stats.failed_batches += 1
-                for p in batch:
+                for p in riders:
                     if not p.future.done():
                         p.future.set_exception(
                             BatchFailedError(
@@ -239,11 +256,10 @@ class CoalescingScheduler:
                 return
             self._last_epoch[key] = batch_stats.epoch
             self.stats.observe_batch(batch_stats)
-            for p, answer in zip(batch, answers):
+            for p, answer in zip(riders, answers):
                 if not p.future.done():
                     p.future.set_result((answer, batch_stats.epoch))
         finally:
-            self.registry.unpin(key)
             self._running -= 1
             # Work-conserving: the dispatcher went idle, so everything
             # that piled up behind this batch runs now. Without this
@@ -260,11 +276,11 @@ class CoalescingScheduler:
         on the pre-mutation epoch, the mutation itself runs alone on
         the dispatch thread (``QueryEngine.mutate`` swaps the entry's
         kernel/memo state, which must never race a batch), and queries
-        admitted afterwards see the new epoch. This needs no global
-        lock: the key's pending queries are flushed first,
-        and since both batch runs and the mutation are submitted to the
-        same single-worker executor in that order, FIFO execution on
-        the dispatch thread is the serialization.
+        admitted afterwards see the new epoch. This needs no lock: the
+        key's pending queries are flushed first, and since ``_flush``
+        queues their job before the mutation job is queued on the same
+        single-worker executor, FIFO execution on the dispatch thread
+        is the serialization.
 
         Returns the :class:`~repro.dynamic.MutationBatch` record.
         Raises ``UnknownGraphError`` for an unregistered key,
@@ -273,28 +289,19 @@ class CoalescingScheduler:
         """
         if self._closed:
             raise ServiceClosedError("service is shutting down")
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._dispatch, self.registry.ensure, key)
-        if self._closed:
-            raise ServiceClosedError("service is shutting down")
-        # Dispatch the queries admitted before the mutation...
+        self.registry.spec(key)
         self._flush(key)
-        # ... and let the freshly created batch task(s) reach their
-        # run_in_executor submission (a task runs synchronously up to
-        # its first await once the loop yields; call_soon is FIFO, so
-        # one tick suffices) before the mutation enters the executor
-        # queue behind them.
-        await asyncio.sleep(0)
-        self.registry.pin(key)
-        try:
-            batch = await loop.run_in_executor(
-                self._dispatch, self.engine.mutate, key, inserts, deletes
-            )
-        finally:
-            self.registry.unpin(key)
+        batch = await asyncio.get_running_loop().run_in_executor(
+            self._dispatch, self._mutation_job, key, inserts, deletes
+        )
         self.stats.mutations += 1
         self.stats.mutated_edges += batch.inserted + batch.deleted
         return batch
+
+    def _mutation_job(self, key: str, inserts, deletes):
+        """Dispatch thread: open the graph, then mutate it."""
+        self.registry.ensure(key)
+        return self.engine.mutate(key, inserts, deletes)
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:
@@ -309,13 +316,7 @@ class CoalescingScheduler:
         if self._closed:
             return
         self._closed = True
+        # Every admitted query is answered: submits append without
+        # awaiting, so nothing joins a pending list after this point.
         await self.drain()
-        for batch in self._pending.values():
-            for p in batch:
-                if not p.future.done():
-                    p.future.set_exception(
-                        ServiceClosedError("service is shutting down")
-                    )
-        self._pending.clear()
-        self._total_pending = 0
         self._dispatch.shutdown(wait=True)

@@ -80,21 +80,23 @@ class HeldDispatch:
 
     The first batch to reach the engine blocks on a ``threading.Event``
     (``fail=True`` makes it raise once released); batches after the
-    release run normally. Every registry open and batch run queues
-    behind the held one on the single dispatch thread, so tests build
-    a backlog without a timer. ``submits`` counts
-    ``CoalescingScheduler.submit`` calls, including ones still waiting
-    for the dispatch thread.
+    release run normally. Submits never wait on the dispatch thread, so
+    queries sent meanwhile are admitted at once and pile up behind the
+    held batch: tests build a backlog without a timer. ``submits``
+    counts ``CoalescingScheduler.submit`` calls; ``sizes`` records the
+    query count of every batch the engine ran, in order.
     """
 
     def __init__(self, scheduler, *, fail: bool = False):
         self.entered = threading.Event()
         self.released = threading.Event()
         self.submits = 0
+        self.sizes: list[int] = []
         run = scheduler.engine.run
         submit = scheduler.submit
 
         def held_run(key, queries):
+            self.sizes.append(len(queries))
             if not self.released.is_set():
                 self.entered.set()
                 if not self.released.wait(10.0):
@@ -163,6 +165,33 @@ class TestCoalescing:
         assert stats.sweeps < n_clients
         assert stats.coalescing_ratio >= 4.0
         assert stats.gather_pass_ratio >= 4.0
+
+    def test_riders_behind_a_held_batch_run_as_one_batch(self):
+        """63 queries sent while a batch holds the dispatch thread are
+        admitted at once and run as one batch when it ends: the engine
+        sees ``[1, 63]``, never a lone first arrival split off."""
+
+        async def test(service, host, port):
+            scheduler = service.scheduler
+            gate = HeldDispatch(scheduler)
+            first = asyncio.ensure_future(scheduler.submit("g", "dist 0 1"))
+            await gate.held()
+            riders = [
+                asyncio.ensure_future(scheduler.submit("g", f"dist 0 {v}"))
+                for v in range(2, 65)
+            ]
+            await until(lambda: gate.submits == 64)
+            gate.release()
+            answers = await asyncio.gather(first, *riders)
+            return answers, gate.sizes
+
+        graph = small_graph(128)
+        answers, sizes = serve(test, graphs={"g": graph})
+        assert sizes == [1, 63]
+        engine = QueryEngine()
+        engine.add_graph(graph, key="g")
+        expected, _ = engine.run("g", [f"dist 0 {v}" for v in range(1, 65)])
+        assert answers == [(a, 0) for a in expected]
 
     def test_batch_limit_dispatches_early(self):
         """Hitting batch_limit must not wait for the running batch.
@@ -242,42 +271,43 @@ class TestForwardProgress:
         assert stats.failed_batches == 1
         assert stats.answered == 3
 
-    def test_close_during_held_batch_fails_queued_riders_503(self):
+    def test_close_during_held_batch_drains_admitted_riders(self):
+        """close() answers every query admitted before it; a submit
+        after close() begins gets 503."""
+
         async def test(service, host, port):
             scheduler = service.scheduler
             gate = HeldDispatch(scheduler)
             async with ServiceClient(host, port) as a, ServiceClient(
                 host, port
             ) as b:
-                # a's first query is held, its second admitted behind it.
-                admitted = asyncio.ensure_future(
+                # a's first query is held; its second and b's queries
+                # are admitted behind it.
+                first = asyncio.ensure_future(
                     a.query("g", "dist 0 1", "dist 0 5")
                 )
                 await gate.held()
-                await until(lambda: scheduler.pending_total == 1)
-                # b's queries still wait for the dispatch thread.
-                queued = asyncio.ensure_future(
+                second = asyncio.ensure_future(
                     b.query("g", "dist 0 2", "dist 0 3")
                 )
-                await until(lambda: gate.submits == 4)
+                await until(lambda: scheduler.pending_total == 3)
                 closing = asyncio.ensure_future(scheduler.close())
                 await asyncio.sleep(0)  # close() stops admitting first
+                with pytest.raises(ServiceClosedError):
+                    await scheduler.submit("g", "dist 0 4")
                 gate.release()
                 await closing
-                return await asyncio.gather(admitted, queued)
+                return await asyncio.gather(first, second)
 
         graph = small_graph()
         (code_a, body_a), (code_b, body_b) = serve(test, graphs={"g": graph})
-        # close() drains what was admitted...
         engine = QueryEngine()
         engine.add_graph(graph, key="g")
-        expected, _ = engine.run("g", ["dist 0 1", "dist 0 5"])
-        assert code_a == 200
-        assert body_a["answers"] == expected
-        # ... and fails what was still queued for the dispatch thread.
-        assert code_b == 503
-        assert body_b["answers"] == [None, None]
-        assert [e["status"] for e in body_b["errors"]] == [503, 503]
+        expected, _ = engine.run(
+            "g", ["dist 0 1", "dist 0 5", "dist 0 2", "dist 0 3"]
+        )
+        assert (code_a, code_b) == (200, 200)
+        assert body_a["answers"] + body_b["answers"] == expected
 
     def test_mutation_during_held_batch_splits_epochs(self):
         async def test(service, host, port):
@@ -293,7 +323,7 @@ class TestForwardProgress:
             mutation = asyncio.ensure_future(
                 scheduler.submit_mutation("g", inserts=[(5, 31)])
             )
-            await asyncio.sleep(0)  # its registry open queues first
+            await asyncio.sleep(0)  # it flushes the earlier riders first
             later = [
                 asyncio.ensure_future(scheduler.submit("g", "dist 0 31"))
                 for _ in range(2)
@@ -310,6 +340,31 @@ class TestForwardProgress:
         assert batch.inserted == 1 and batch.epoch == 1
         # d(0, 31) on P32 is 31; the (5, 31) chord makes it 6.
         assert answers == [(31, 0)] * 3 + [(6, 1)] * 2
+
+
+class TestResidency:
+    def test_concurrent_first_queries_under_a_tight_budget(self):
+        """Three graphs, a budget that holds two, one first query per
+        graph at once: opening the third evicts a graph whose query is
+        already admitted, and that query's own batch job reopens it."""
+        graphs = {k: small_graph(seed=i) for i, k in enumerate("abc")}
+        budget = int(2.5 * graphs["a"].memory_bytes())
+
+        async def test(service, host, port):
+            async def one(key):
+                async with ServiceClient(host, port) as client:
+                    return await client.query(key, "dist 0 1")
+
+            results = await asyncio.gather(*(one(k) for k in graphs))
+            return results, service.registry.evictions
+
+        results, evictions = serve(test, graphs=graphs, byte_budget=budget)
+        assert [status for status, _ in results] == [200, 200, 200], results
+        assert evictions >= 1
+        for key, (_, payload) in zip(graphs, results):
+            engine = QueryEngine()
+            engine.add_graph(graphs[key], key=key)
+            assert payload["answers"] == engine.run(key, ["dist 0 1"])[0]
 
 
 class TestAdmissionControl:
@@ -429,7 +484,8 @@ class TestHTTPSurface:
         async def test(service, host, port):
             async with ServiceClient(host, port) as client:
                 status, payload = await client.query(
-                    "g", "dist 0 1", "dist 0 100000", "frob 1", "dist 0 -2"
+                    "g", "dist 0 1", "dist 0 100000", "frob 1", "dist 0 -2",
+                    123, None,
                 )
                 return status, payload, service.stats
 
@@ -437,11 +493,11 @@ class TestHTTPSurface:
         assert status == 400
         assert isinstance(payload["answers"][0], int)  # valid rider answered
         assert payload["answers"][0] >= 0
-        assert payload["answers"][1:] == [None, None, None]
+        assert payload["answers"][1:] == [None] * 5
         codes = [e["status"] for e in payload["errors"]]
-        assert codes == [400, 400, 400]
+        assert codes == [400] * 5
         assert "out of range" in payload["errors"][0]["error"]
-        assert stats.invalid == 3
+        assert stats.invalid == 5
         assert stats.failed_batches == 0
 
     def test_single_query_form(self):

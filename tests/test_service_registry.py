@@ -94,21 +94,6 @@ class TestLRU:
         after, _ = engine.run("g", ["ecc 0", "diam"])
         assert before == after
 
-    def test_pinned_graph_never_evicted(self, engine):
-        a, b = make_graph(200, 1), make_graph(200, 2)
-        registry = GraphRegistry(engine, byte_budget=0)  # nothing fits
-        registry.register("a", graph=a)
-        registry.register("b", graph=b)
-
-        registry.pin("a")
-        registry.ensure("a")
-        registry.ensure("b")  # 'b' is kept (keep=key); 'a' is pinned
-        snap = registry.snapshot()
-        assert snap["graphs"]["a"]["resident"], "pinned graph was evicted"
-        registry.unpin("a")
-        registry.ensure("b")  # now 'a' is evictable
-        assert not registry.snapshot()["graphs"]["a"]["resident"]
-
     def test_caller_owned_graph_not_closed(self, engine):
         graph = make_graph(64, 5)
         registry = GraphRegistry(engine, byte_budget=None)
