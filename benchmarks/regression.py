@@ -116,7 +116,6 @@ def _stage_fdiam_prep(graph):
         "prep_vertices_removed": prep.vertices_removed if prep else 0,
         "prep_edges_removed": prep.edges_removed if prep else 0,
         "prep_components_skipped": prep.components_skipped if prep else 0,
-        "prep_tip_batch_components": prep.tip_batch_components if prep else 0,
         "prep_edge_span_before": prep.edge_span_before if prep else 0,
         "prep_edge_span_after": prep.edge_span_after if prep else 0,
     }

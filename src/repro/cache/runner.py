@@ -7,7 +7,7 @@ content digest, hand any artifacts to the warm seams of
 :func:`repro.core.extremes.eccentricity_spectrum`, and write a fresh
 sidecar after a cold (or distrusted-warm) run.
 
-The cold ``fdiam`` path here runs the planner-tweaked *plain* driver
+Both ``fdiam`` paths here run the *plain* driver (``prep="off"``)
 rather than the component-splitting prep pipeline: artifact collection
 needs the final :class:`~repro.core.state.FDiamState` of a whole-graph
 run (per-component status arrays would not line up with the original
@@ -17,7 +17,6 @@ pipeline to exactly this shape anyway.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +31,6 @@ from repro.core.state import FDiamState
 from repro.core.stats import Reason
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_digest
-from repro.prep.pipeline import gate_spec
-from repro.prep.plan import PrepSpec, plan_component
 
 __all__ = ["CacheInfo", "fdiam_cached", "spectrum_cached"]
 
@@ -52,33 +49,6 @@ class CacheInfo:
     verified: bool  # the warm run's witness reproduced the cached diameter
     saved: bool  # a (new or refreshed) sidecar was written
     path: Path | None  # sidecar location, when one was read or written
-
-
-def _plan_base_config(
-    graph: CSRGraph, config: FDiamConfig
-) -> tuple[FDiamConfig, str]:
-    """Resolve ``config.prep`` into plain-driver tweaks + a plan record.
-
-    Mirrors the prep pipeline's gated short-circuit: the planner's
-    chain-tip verdict survives, the structural stages do not run here
-    (see module docstring). The returned JSON
-    string is persisted in the sidecar so a later inspection can see
-    which verdict the cached run was produced under.
-    """
-    base = config.ablate(prep="off")
-    spec = PrepSpec.parse(config.prep)
-    record: dict = {"spec": list(spec.tokens)}
-    if spec.enabled and spec.plan:
-        gated_spec, stages_gated = gate_spec(graph, spec)
-        record["stages_gated"] = list(stages_gated)
-        plan = plan_component(graph, spec=gated_spec)
-        base = base.ablate(chain_tip_batch=plan.chain_tip_batch)
-        record["plan"] = {
-            "reorder": plan.reorder,
-            "estimated_diameter": plan.estimated_diameter,
-            "chain_tip_batch": plan.chain_tip_batch,
-        }
-    return base, json.dumps(record, sort_keys=True)
 
 
 def _collect_landmarks(
@@ -125,7 +95,6 @@ def _artifacts_from_run(
     graph: CSRGraph,
     result: DiameterResult,
     state: FDiamState,
-    prep_plan: str,
 ) -> WarmArtifacts:
     """Snapshot a completed plain run into the sidecar schema."""
     witness = state.pick_witness(result.diameter)
@@ -154,7 +123,6 @@ def _artifacts_from_run(
         landmark_sources=sources,
         landmark_dists=dists,
         landmark_eccs=eccs,
-        prep_plan=prep_plan,
     )
 
 
@@ -174,12 +142,12 @@ def fdiam_cached(
     sidecar from the finished state. The diameter is exact in every
     branch; only the traversal count varies.
     """
-    config = config or FDiamConfig()
+    config = (config or FDiamConfig()).ablate(prep="off")
     digest = graph_digest(graph)
     art = store.load(graph, digest=digest)
     if art is not None:
         result, state = fdiam_with_state(
-            graph, config.ablate(prep="off"), deadline=deadline, warm=art
+            graph, config, deadline=deadline, warm=art
         )
         path = store.path_for(digest)
         saved = False
@@ -187,7 +155,7 @@ def fdiam_cached(
             # The fallback ran the full cold pipeline, so its state is
             # sidecar-grade: replace the inconsistent artifacts.
             path = store.save(
-                _artifacts_from_run(digest, graph, result, state, art.prep_plan)
+                _artifacts_from_run(digest, graph, result, state)
             )
             saved = True
         return result, CacheInfo(
@@ -197,14 +165,11 @@ def fdiam_cached(
             saved=saved,
             path=path,
         )
-    base, prep_plan = _plan_base_config(graph, config)
-    result, state = fdiam_with_state(graph, base, deadline=deadline)
+    result, state = fdiam_with_state(graph, config, deadline=deadline)
     path = None
     saved = False
     if save:
-        path = store.save(
-            _artifacts_from_run(digest, graph, result, state, prep_plan)
-        )
+        path = store.save(_artifacts_from_run(digest, graph, result, state))
         saved = True
     return result, CacheInfo(
         digest=digest, hit=False, verified=False, saved=saved, path=path

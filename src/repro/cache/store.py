@@ -12,8 +12,7 @@ argument):
   warm run can resume incremental extension without re-growing it;
 * landmark distance vectors (a handful of full BFS rows from central
   and peripheral vertices) for spectrum seeding and query memoization;
-* optional exact eccentricity bounds from a spectrum run;
-* the serialized planner verdict of the prep pipeline.
+* optional exact eccentricity bounds from a spectrum run.
 
 Load is defensive: a truncated, corrupted, or digest-mismatched file
 degrades to ``None`` (cold run) with a warning — never an exception.
@@ -21,7 +20,6 @@ degrades to ``None`` (cold run) with a warning — never an exception.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 import zipfile
@@ -71,22 +69,11 @@ class WarmArtifacts:
     landmark_eccs: np.ndarray = field(default_factory=lambda: _EMPTY_I64)
     ecc_lower: np.ndarray = field(default_factory=lambda: _EMPTY_I64)
     ecc_upper: np.ndarray = field(default_factory=lambda: _EMPTY_I64)
-    prep_plan: str = ""
 
     @property
     def infinite(self) -> bool:
         """Convention mirror of :class:`DiameterResult`."""
         return not self.connected
-
-    @property
-    def plan(self) -> dict:
-        """The serialized planner verdict as a dict (empty if none)."""
-        if not self.prep_plan:
-            return {}
-        try:
-            return json.loads(self.prep_plan)
-        except json.JSONDecodeError:
-            return {}
 
     def to_npz_dict(self) -> dict[str, np.ndarray]:
         """Flatten into the ``np.savez`` payload."""
@@ -115,7 +102,6 @@ class WarmArtifacts:
             "landmark_eccs": np.asarray(self.landmark_eccs, dtype=np.int64),
             "ecc_lower": np.asarray(self.ecc_lower, dtype=np.int64),
             "ecc_upper": np.asarray(self.ecc_upper, dtype=np.int64),
-            "prep_plan": np.array(self.prep_plan),
         }
 
     @classmethod
@@ -153,7 +139,6 @@ class WarmArtifacts:
             landmark_eccs=np.asarray(data["landmark_eccs"], dtype=np.int64),
             ecc_lower=np.asarray(data["ecc_lower"], dtype=np.int64),
             ecc_upper=np.asarray(data["ecc_upper"], dtype=np.int64),
-            prep_plan=str(np.asarray(data["prep_plan"])[()]),
         )
 
 

@@ -864,8 +864,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"({prep.mirror_open_groups} open + "
                   f"{prep.mirror_closed_groups} closed mirror groups)")
             print(f"  components   : {prep.components_solved} solved, "
-                  f"{prep.components_skipped} skipped "
-                  f"({prep.tip_batch_components} tip-batched)")
+                  f"{prep.components_skipped} skipped")
             if prep.reorder_strategies:
                 picked = ", ".join(
                     f"{k}×{v}" for k, v in sorted(prep.reorder_strategies.items())

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bfs.bitparallel import LANE_WIDTH
-from repro.core.state import MAX_BOUND, FDiamState
+from repro.core.state import MAX_BOUND, FDiamState, ecc_batch_size
 from repro.core.stats import Reason
 from repro.graph.degrees import degree_one_vertices
 
@@ -137,7 +137,10 @@ def process_chains(state: FDiamState) -> int:
             kept.append(tip)
             if not is_anchor[tip]:
                 batchable.append((tip, anchor, length))
-    if state.config.chain_tip_batch and batchable:
+    # One rule for every lane-swept eccentricity: the tips follow
+    # ecc_lanes exactly as the main loop does. A lone batchable tip
+    # stays active, as a lone main-loop vertex runs one scalar BFS.
+    if len(batchable) > 1 and ecc_batch_size(state, len(batchable))[0] > 1:
         batch_tip_eccentricities(state, batchable)
     if state.oracle is not None:
         state.oracle.check_chain(state, kept)
@@ -159,23 +162,23 @@ def batch_tip_eccentricities(
     gets the exact value ``length + ecc(anchor)`` and is removed.
     Tips whose anchor eccentricity equals the chain length (the anchor's
     farthest vertex may be the tip itself, e.g. a pure path component)
-    stay active for the scalar main loop; fewer than that is impossible
+    stay active for the main loop; fewer than that is impossible
     because the tip sits at exactly ``length`` hops.
 
-    Each physical sweep counts as one traversal under the Table 3
-    convention. Returns the number of tips resolved.
+    The sweeps run through :meth:`FDiamState.ecc_lanes`, so they count
+    as the main loop's do: one logical eccentricity BFS per lane, one
+    ``ecc_sweeps`` per sweep. The oracle, when attached, checks every
+    anchor lane. Returns the number of tips resolved.
     """
-    stats = state.stats
     old_bound = state.bound
     resolved = 0
     for base in range(0, len(tips), LANE_WIDTH):
         chunk = tips[base : base + LANE_WIDTH]
         sources = np.array([anchor for _, anchor, _ in chunk], dtype=np.int64)
-        sweep = state.kernel.levels_batched64(sources)
-        stats.eccentricity_bfs += 1
-        for (tip, _, length), anchor_ecc in zip(
-            chunk, sweep.eccentricities.tolist()
-        ):
+        eccs = state.ecc_lanes(sources).tolist()
+        for (tip, anchor, length), anchor_ecc in zip(chunk, eccs):
+            if state.oracle is not None:
+                state.oracle.check_computed(state, anchor, anchor_ecc)
             if anchor_ecc > length:
                 tip_ecc = length + anchor_ecc
                 state.remove(tip, np.int64(tip_ecc), Reason.CHAIN)
@@ -183,5 +186,5 @@ def batch_tip_eccentricities(
                 if tip_ecc > state.bound:
                     state.bound = tip_ecc
     if state.bound > old_bound:
-        stats.bound_updates += 1
+        state.stats.bound_updates += 1
     return resolved

@@ -63,13 +63,15 @@ def fdiam_concurrent(
     The result is still exact — concurrency only defers pruning, never
     weakens it — but the traversal count grows with the batch size,
     which is precisely why the paper parallelized *within* each BFS
-    instead of across BFS calls.
+    instead of across BFS calls. ``config`` defaults to
+    ``ecc_lanes="off"``: the study is the paper's scalar loop, chain
+    tips included.
     """
     if batch_size < 1:
         raise AlgorithmError("batch_size must be >= 1")
     if graph.num_vertices == 0:
         raise AlgorithmError("fdiam_concurrent requires a non-empty graph")
-    state = FDiamState(graph, config or FDiamConfig())
+    state = FDiamState(graph, config or FDiamConfig(ecc_lanes="off"))
     start, connected = initial_stages(state)
     main_loop(state, start, batch_size, lanes=False)
     return ConcurrentReport(

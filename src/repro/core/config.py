@@ -60,17 +60,6 @@ class FDiamConfig:
         top-down.
     keep_traces:
         Retain per-level BFS traces (needed by the parallel cost model).
-    chain_tip_batch:
-        Resolve the chain tips that survive Chain Processing with one
-        bit-parallel lane sweep from their anchors instead of one
-        scalar eccentricity BFS each: a pendant tip ``x`` whose chain
-        of length ``s`` anchors at ``w`` has ``ecc(x) = s + ecc(w)``
-        whenever ``ecc(w) > s`` (the farthest vertex from ``w`` then
-        provably lies outside the chain), and one lane sweep yields up
-        to 64 anchor eccentricities in a single traversal. Exact; off
-        by default so the plain path reproduces the paper's per-tip
-        counters — the prep planner turns it on for components whose
-        estimated diameter fits the lane-mode level budget.
     prep:
         The ``--prep`` reduction pipeline specification: ``"off"``
         (default) runs plain F-Diam; ``"auto"`` enables every stage
@@ -92,17 +81,21 @@ class FDiamConfig:
         Exactness-preserving: the diameter and eccentricities are
         bit-identical with any value.
     ecc_lanes:
-        How the main loop evaluates eccentricities. ``"off"`` is the
-        paper's loop: one BFS per still-active vertex, each seeing every
-        earlier vertex's pruning. ``"on"`` claims up to 64 still-active
-        vertices at a time and evaluates them in one bit-parallel lane
-        sweep (a lone claimed vertex still runs one scalar BFS).
-        ``"auto"`` (the default) decides once per run, after Chain
-        Processing: it batches only on hub-heavy graphs whose bound fits
-        the cost model's lane level cap with at least 8 lanes pending
-        (see DESIGN.md §8). Exact with any value; batching may evaluate
-        vertices a serial order would have pruned, which the run counts
-        as ``stats.redundant_evaluations``.
+        How the run evaluates eccentricities. ``"off"`` is the paper's
+        algorithm: one BFS per still-active vertex, each seeing every
+        earlier vertex's pruning. ``"on"`` evaluates up to 64 at a time
+        in one bit-parallel lane sweep, twice over: the anchors of the
+        chain tips that survive Chain Processing (a pendant tip ``x``
+        whose chain of length ``s`` anchors at ``w`` has
+        ``ecc(x) = s + ecc(w)`` whenever ``ecc(w) > s``), and then the
+        main loop's still-active vertices. A lone tip is left to the
+        main loop, and a lone claimed vertex runs one scalar BFS.
+        ``"auto"`` (the default) applies one rule to both: it sweeps
+        only on hub-heavy graphs whose bound fits the cost model's lane
+        level cap with at least 8 lanes pending (see DESIGN.md §8).
+        Exact with any value; main-loop batching may evaluate vertices
+        a serial order would have pruned, which the run counts as
+        ``stats.redundant_evaluations``.
     verify:
         Attach the invariant oracle of :mod:`repro.verify` to the run:
         reference BFS distances are precomputed up front and every
@@ -124,7 +117,6 @@ class FDiamConfig:
     threshold: float = DEFAULT_THRESHOLD
     directions: bool = True
     keep_traces: bool = False
-    chain_tip_batch: bool = False
     prep: str = "off"
     memory_budget: int | None = None
     ecc_lanes: EccLanes = "auto"

@@ -9,9 +9,13 @@ Orchestrates the stages:
 5. loop over the remaining active vertices: compute the eccentricity;
    on a larger value, upgrade the bound, extend the winnow ball, and
    extend all eliminated regions with one multi-source sweep; otherwise
-   Eliminate around the vertex. On hub-heavy graphs with a short bound
-   the eccentricities are evaluated 64 at a time in one lane sweep
-   (``FDiamConfig.ecc_lanes``) and applied in the same order.
+   Eliminate around the vertex.
+
+On hub-heavy graphs with a short bound, eccentricities are evaluated 64
+at a time in one lane sweep (``FDiamConfig.ecc_lanes``, decided by
+:func:`repro.core.state.ecc_batch_size`): the surviving chain tips'
+anchors in stage 4, and the main loop's vertices in stage 5, whose
+results are applied in the serial order.
 
 The final bound is the exact largest eccentricity over all connected
 components — the diameter for connected inputs, and the paper's
@@ -26,12 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bfs.bitparallel import LANE_WIDTH
 from repro.core.chain import process_chains
 from repro.core.config import FDiamConfig
 from repro.core.eliminate import eliminate
 from repro.core.extend import extend_eliminated
-from repro.core.state import ACTIVE, MAX_BOUND, WINNOWED, FDiamState
+from repro.core.state import (
+    ACTIVE,
+    MAX_BOUND,
+    WINNOWED,
+    FDiamState,
+    ecc_batch_size,
+)
 from repro.core.stats import FDiamStats, Reason
 from repro.core.sweep import two_sweep, witness_sweep
 from repro.core.winnow import restore_winnow, winnow
@@ -40,7 +49,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "DiameterResult",
-    "ecc_batch_size",
     "fdiam",
     "fdiam_with_state",
     "initial_stages",
@@ -92,9 +100,8 @@ def fdiam(
     This is the public entry point; it discards the internal run state.
     With ``config.prep`` set (anything other than ``"off"``), the run
     first goes through the exactness-preserving reduction pipeline of
-    :mod:`repro.prep` — pendant-tree peeling, mirror collapsing,
-    per-component reordering and chain-tip planning — and the per-component
-    results are merged back into one :class:`DiameterResult` carrying
+    :mod:`repro.prep` — pendant-tree peeling, mirror collapsing and
+    per-component reordering — and the per-component results are merged back into one :class:`DiameterResult` carrying
     the identical diameter (and infinity convention) as the plain path.
 
     ``warm`` seeds the run from cached certificates (see
@@ -271,7 +278,7 @@ def initial_stages(state: FDiamState, warm=None) -> tuple[int, bool]:
         if config.use_chain:
             with stats.timing("chain"):
                 process_chains(state)
-            # Chain-tip batching (config.chain_tip_batch) may have raised
+            # Chain-tip lanes (config.ecc_lanes) may have raised
             # the bound past the 2-sweep value; resume the incremental
             # winnow so the wider ball prunes before the main loop starts.
             if config.use_winnow and state.bound > sweep.bound:
@@ -359,42 +366,6 @@ def main_loop(
                 with stats.timing("eliminate"):
                     eliminate(state, v, ecc_v, state.bound)
             # ecc_v == bound: "F-Diam only eliminates v" — done above.
-
-
-def ecc_batch_size(state: FDiamState, pending: int) -> tuple[int, str]:
-    """Main-loop batch size for ``state.config.ecc_lanes``, with its reason.
-
-    ``"auto"`` batches 64 lanes only on a hub-heavy graph (the cost
-    model's degree-skew test) whose bound the cost model's lane verdict
-    accepts for ``min(64, pending)`` lanes: within the lane level cap
-    and with at least 8 lanes filled. Everywhere else — meshes, road
-    maps, anything with a long bound — the main loop's Eliminates do
-    prune each other's vertices, so it runs one BFS at a time.
-    """
-    mode = state.config.ecc_lanes
-    if mode == "off":
-        return 1, "ecc_lanes='off'"
-    if mode == "on":
-        return LANE_WIDTH, "ecc_lanes='on'"
-    # Call-time import: repro.parallel sits above the core layer.
-    from repro.parallel.costmodel import LevelSynchronousCostModel
-
-    graph = state.graph
-    model = LevelSynchronousCostModel()
-    n, m = graph.num_vertices, graph.num_directed_edges
-    max_degree = graph.max_degree()
-    if not model.hub_heavy(n, m, max_degree):
-        skew = max_degree * n / m if m else 0.0
-        return 1, (
-            f"degree skew {skew:.1f} below hub skew {model.params.hub_skew:.1f}"
-        )
-    ok, reason = model.lane_batch_verdict(state.bound, min(LANE_WIDTH, pending))
-    if not ok:
-        return 1, reason
-    return LANE_WIDTH, (
-        f"hub-heavy, bound {state.bound} within lane level cap "
-        f"{model.params.lane_level_cap}"
-    )
 
 
 def _claim(

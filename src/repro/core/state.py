@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bfs.bitparallel import LANE_WIDTH
 from repro.bfs.kernel import BFSResult, TraversalKernel
 from repro.core.config import FDiamConfig
 from repro.core.stats import FDiamStats, Reason
 from repro.graph.csr import CSRGraph
 
-__all__ = ["ACTIVE", "MAX_BOUND", "WINNOWED", "FDiamState"]
+__all__ = ["ACTIVE", "MAX_BOUND", "WINNOWED", "FDiamState", "ecc_batch_size"]
 
 #: Sentinel for "still under consideration".
 ACTIVE = np.int64(2**62)
@@ -215,7 +216,8 @@ class FDiamState:
         logical eccentricity BFS under the Table 3 convention, and the
         sweep itself counts once in ``stats.ecc_sweeps``. The kernel's
         deadline is checked at every level of the sweep. Lane sweeps
-        record no per-level traces.
+        record no per-level traces. :func:`ecc_batch_size` decides when
+        a run sweeps in lanes at all.
         """
         self.stats.eccentricity_bfs += len(vertices)
         self.stats.ecc_sweeps += 1
@@ -247,3 +249,45 @@ class FDiamState:
         if exact.any():
             return int(np.flatnonzero(exact)[0])
         return self.graph.max_degree_vertex()
+
+
+def ecc_batch_size(state: FDiamState, pending: int) -> tuple[int, str]:
+    """Lane batch size for ``state.config.ecc_lanes``, with its reason.
+
+    The one rule behind every lane-swept eccentricity of a run: the
+    surviving chain tips' anchors (:mod:`repro.core.chain`, with
+    ``pending`` = the batchable tips) and the main loop (``pending`` =
+    the still-active vertices) both ask it. ``"off"`` is the paper's
+    one BFS at a time; ``"on"`` always sweeps 64 lanes. ``"auto"``
+    sweeps only on a hub-heavy graph (the cost model's degree-skew
+    test) whose bound the cost model's lane verdict accepts for
+    ``min(64, pending)`` lanes: within the lane level cap and with at
+    least 8 lanes filled. Everywhere else — meshes, road maps, anything
+    with a long bound — the main loop's Eliminates do prune each
+    other's vertices (chain tips included), so the run evaluates one
+    vertex at a time.
+    """
+    mode = state.config.ecc_lanes
+    if mode == "off":
+        return 1, "ecc_lanes='off'"
+    if mode == "on":
+        return LANE_WIDTH, "ecc_lanes='on'"
+    # Call-time import: repro.parallel sits above the core layer.
+    from repro.parallel.costmodel import LevelSynchronousCostModel
+
+    graph = state.graph
+    model = LevelSynchronousCostModel()
+    n, m = graph.num_vertices, graph.num_directed_edges
+    max_degree = graph.max_degree()
+    if not model.hub_heavy(n, m, max_degree):
+        skew = max_degree * n / m if m else 0.0
+        return 1, (
+            f"degree skew {skew:.1f} below hub skew {model.params.hub_skew:.1f}"
+        )
+    ok, reason = model.lane_batch_verdict(state.bound, min(LANE_WIDTH, pending))
+    if not ok:
+        return 1, reason
+    return LANE_WIDTH, (
+        f"hub-heavy, bound {state.bound} within lane level cap "
+        f"{model.params.lane_level_cap}"
+    )

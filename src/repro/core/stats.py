@@ -111,7 +111,6 @@ class PrepStats:
     components_total: int = 0
     components_solved: int = 0
     components_skipped: int = 0  # too small to beat the running bound
-    tip_batch_components: int = 0  # chain tips resolved via lane sweeps
     reorder_strategies: dict[str, int] = field(default_factory=dict)
 
     #: Reorder bandwidth proxy: sum of |u - v| over undirected edges of

@@ -417,7 +417,6 @@ def table_prep_reduction(cfg: SuiteConfig | None = None) -> ExperimentReport:
             "edges_plain": plain.stats.edges_examined,
             "edges_prep": prepped.stats.edges_examined,
             "vertices_removed": prep.vertices_removed if prep else 0,
-            "tip_batched": prep.tip_batch_components if prep else 0,
             "stages_gated": prep.stages_gated if prep else (),
             "diameter": plain.diameter,
         }

@@ -25,16 +25,6 @@ scalability (§6.2):
 Per level: ``t(T) = e / (r * T_eff) + t_barrier(T)`` with
 ``T_eff = min(T, ceil(f / C), B)``, where ``e`` is edges examined,
 ``r`` the single-thread edge rate, and ``B`` the bandwidth ceiling.
-
-The model also accounts for the **bit-parallel lane sweeps**
-(:mod:`repro.bfs.bitparallel`): a sweep carrying ``k`` sources gathers
-each edge once but ORs ``W = ceil(k / 64)`` lane words per gathered
-arc, so its per-level cost is the scalar gather cost plus a word-combine
-term ``e * W / r_lanes`` — amortizing up to 64 traversals per gather at
-the price of the extra word traffic. :meth:`lane_sweep_time` and
-:meth:`batch_speedup` expose this trade-off, which is why lane batching
-wins big on low-diameter power-law graphs (few levels, huge shared
-gathers) and less on long thin road networks.
 """
 
 from __future__ import annotations
@@ -85,18 +75,14 @@ class CostModelParams:
     barrier_base: float = 2.0e-7
     #: Fixed per-BFS launch overhead, seconds.
     bfs_overhead: float = 5.0e-6
-    #: Lane words OR-combined per second by one thread. Word combines
-    #: are sequential streaming loads (cheaper than the irregular edge
-    #: gathers), so the default sits above ``edge_rate``.
-    lane_word_rate: float = 100e6
     #: Degree skew (max degree over average degree) above which a graph
     #: counts as hub-heavy (:meth:`.hub_heavy`): small-world ``~log n``
     #: scaling instead of mesh/road ``~sqrt n`` scaling for
-    #: :meth:`.estimate_diameter`, and lane-batched main-loop
-    #: eccentricities in F-Diam.
+    #: :meth:`.estimate_diameter`, and lane-batched eccentricities
+    #: (chain-tip anchors and the main loop) in F-Diam.
     hub_skew: float = 4.0
     #: Largest estimated diameter at which a lane sweep (spectrum
-    #: bounding rounds, chain-tip batches, 64 sources per word) still
+    #: bounding rounds, F-Diam's eccentricities, 64 sources per word) still
     #: beats scalar BFS. Beyond it the per-level word traffic over
     #: hundreds of near-empty levels eats the shared-gather saving.
     lane_level_cap: int = 64
@@ -161,8 +147,6 @@ class CostModelParams:
 
     def __post_init__(self) -> None:
         if self.edge_rate <= 0 or self.chunk_size < 1 or self.bandwidth_threads < 1:
-            raise AlgorithmError("invalid cost model parameters")
-        if self.lane_word_rate <= 0:
             raise AlgorithmError("invalid cost model parameters")
         if self.hub_skew < 1 or self.lane_level_cap < 1:
             raise AlgorithmError("invalid cost model parameters")
@@ -503,48 +487,3 @@ class LevelSynchronousCostModel:
             f"budget {budget} B below minimum useful cache "
             f"({self.params.cache_min_fraction:g} of {decoded} B decoded)"
         )
-
-    # ------------------------------------------------------------------
-    # Bit-parallel lane accounting
-    # ------------------------------------------------------------------
-    def lane_level_time(
-        self, frontier_size: int, edges: int, lanes: int, num_threads: int
-    ) -> float:
-        """Modeled seconds for one level of a ``lanes``-source sweep.
-
-        The edge gather is paid once (same term as :meth:`level_time`);
-        on top of it every gathered arc OR-combines ``ceil(lanes/64)``
-        lane words.
-        """
-        if lanes < 1:
-            raise AlgorithmError("lanes must be >= 1")
-        width = ceil(lanes / LANE_WIDTH)
-        base = self.level_time(frontier_size, edges, num_threads)
-        return base + edges * width / self.params.lane_word_rate
-
-    def lane_sweep_time(self, trace: BFSTrace, lanes: int, num_threads: int) -> float:
-        """Modeled seconds for one full ``lanes``-source lane sweep.
-
-        ``trace`` is the union wave's per-level shape (the lane sweep's
-        frontier is the union of the per-lane frontiers).
-        """
-        total = self.params.bfs_overhead
-        for level in trace.levels:
-            total += self.lane_level_time(
-                level.frontier_size, level.edges_examined, lanes, num_threads
-            )
-        return total
-
-    def batch_speedup(self, trace: BFSTrace, lanes: int, num_threads: int) -> float:
-        """Modeled gain of one ``lanes``-source sweep over ``lanes`` scalar runs.
-
-        Approximates the scalar cost as ``lanes`` traversals of the same
-        shape as the union wave — exact when the sources' waves mostly
-        overlap (the regime lane batching targets), optimistic when they
-        do not overlap at all.
-        """
-        scalar = lanes * self.trace_time(trace, num_threads)
-        batched = self.lane_sweep_time(trace, lanes, num_threads)
-        if batched <= 0:
-            raise AlgorithmError("degenerate trace (zero modeled time)")
-        return scalar / batched

@@ -13,8 +13,8 @@ The structure-aware reduction & reordering pipeline (DESIGN.md §9):
   permutations as an explicit layer over ``CSRGraph``, with results
   mapped back to original ids.
 * :mod:`repro.prep.plan` — the ``--prep`` grammar and the
-  per-component planner (reorder strategy, chain-tip lane batching)
-  backed by the parallel cost model.
+  per-component planner (reorder strategy) backed by the parallel
+  cost model's degree-skew threshold.
 * :mod:`repro.prep.pipeline` — the driver gluing it all together and
   merging per-component results under the disconnected-input
   "infinity + largest component eccentricity" convention.

@@ -15,10 +15,10 @@ equality with the plain path:
   of the reduced graph + whole tree components the peel absorbed.
 
 Per component the planner may reorder vertices (locality only;
-diameters are permutation-invariant) and turn on chain-tip lane
-batching; components too small to beat the running bound are skipped
-outright (a component of ``s`` vertices has diameter at most
-``s - 1``).
+diameters are permutation-invariant); components too small to beat the
+running bound are skipped outright (a component of ``s`` vertices has
+diameter at most ``s - 1``). Each component's run keeps the caller's
+``ecc_lanes``, whose one rule decides its lane sweeps.
 """
 
 from __future__ import annotations
@@ -163,26 +163,16 @@ def fdiam_prepped(
     if spec.plan and not (spec.peel or spec.collapse or spec.reorder != "off"):
         # Every structural stage was vetoed: skip the reductions and the
         # component split entirely (plain fdiam is exact on disconnected
-        # graphs too) and keep only the planner's chain-tip verdict, so
-        # e.g. low-diameter graphs retain the chain-tip lane batching
-        # without paying a single O(n + m) reduction pass.
-        prep_stats = PrepStats(
-            stages=requested.tokens, stages_gated=stages_gated
+        # graphs too) and run the whole graph without paying a single
+        # O(n + m) reduction pass.
+        result, _ = fdiam_with_state(graph, base_config, deadline=deadline)
+        result.stats.prep = PrepStats(
+            stages=requested.tokens,
+            stages_gated=stages_gated,
+            components_total=1,
+            components_solved=1,
         )
-        with_timer = time.perf_counter()
-        plan = plan_component(graph, spec=spec, model=model)
-        prep_stats.components_total = 1
-        prep_stats.components_solved = 1
-        if plan.chain_tip_batch:
-            prep_stats.tip_batch_components += 1
-        plan_elapsed = time.perf_counter() - with_timer
-        result, _ = fdiam_with_state(
-            graph,
-            base_config.ablate(chain_tip_batch=plan.chain_tip_batch),
-            deadline=deadline,
-        )
-        result.stats.prep = prep_stats
-        result.stats.times.other += gate_elapsed + plan_elapsed
+        result.stats.times.other += gate_elapsed
         return result
 
     total = FDiamStats(
@@ -233,12 +223,8 @@ def fdiam_prepped(
                     prep_stats.reorder_strategies[plan.reorder] = (
                         prep_stats.reorder_strategies.get(plan.reorder, 0) + 1
                     )
-                if plan.chain_tip_batch:
-                    prep_stats.tip_batch_components += 1
             sub_result, _ = fdiam_with_state(
-                comp_graph,
-                base_config.ablate(chain_tip_batch=plan.chain_tip_batch),
-                deadline=deadline,
+                comp_graph, base_config, deadline=deadline
             )
             prep_stats.components_solved += 1
             if not have_initial_bound:

@@ -6,20 +6,19 @@
 ``plan``/``components``) into an immutable plan of which stages run.
 
 :func:`plan_component` is the per-component decision point: given one
-connected component of the reduced graph, it consults the structural
-side of :class:`~repro.parallel.costmodel.LevelSynchronousCostModel`
-(estimated diameter, degree skew) to pick the reorder strategy
-(degree-descending for hub-heavy components, BFS level order for
-mesh-like ones) and whether surviving chain tips are resolved through
-the bit-parallel anchor sweep
-(:func:`repro.core.chain.batch_tip_eccentricities`).
+connected component of the reduced graph, it consults the degree-skew
+threshold of :class:`~repro.parallel.costmodel.LevelSynchronousCostModel`
+to pick the reorder strategy (degree-descending for hub-heavy
+components, BFS level order for mesh-like ones). Whether a component's
+eccentricities are swept in lanes is not the planner's call: F-Diam's
+``ecc_lanes`` rule (:func:`repro.core.state.ecc_batch_size`) decides
+that inside each component's run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bfs.bitparallel import LANE_WIDTH
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 from repro.parallel.costmodel import LevelSynchronousCostModel
@@ -102,8 +101,6 @@ class ComponentPlan:
     """Planner verdict for one connected component."""
 
     reorder: str
-    estimated_diameter: int
-    chain_tip_batch: bool = False
 
 
 def plan_component(
@@ -112,32 +109,20 @@ def plan_component(
     spec: PrepSpec,
     model: LevelSynchronousCostModel | None = None,
 ) -> ComponentPlan:
-    """Pick the reorder strategy and tip batching for one component.
+    """Pick the reorder strategy for one component.
 
     The ``auto`` reorder strategy resolves to ``degree`` for hub-heavy
     components and BFS level order for mesh-like ones, using the
     model's skew threshold (RCM stays available explicitly,
     but its reversal scrambles the id scan F-Diam's main loop relies
     on, measurably inflating the traversal count on road meshes).
-    ``plan`` also decides chain-tip batching: profitable exactly when a
-    full-occupancy lane-mode sweep fits the model's level budget —
-    low-diameter components whose pendant tips would otherwise each pay
-    a scalar eccentricity BFS.
     """
-    model = model or LevelSynchronousCostModel()
-    max_degree = graph.max_degree() if graph.num_vertices else 0
-    estimate = model.estimate_diameter(
-        graph.num_vertices, graph.num_directed_edges, max_degree
-    )
-    tip_batch = spec.plan and model.lane_batch_advisable(estimate, LANE_WIDTH)
     strategy = spec.reorder
     if strategy == "auto":
+        model = model or LevelSynchronousCostModel()
+        max_degree = graph.max_degree() if graph.num_vertices else 0
         average = max(graph.average_degree(), 1e-12)
         strategy = (
             "degree" if max_degree >= model.params.hub_skew * average else "bfs"
         )
-    return ComponentPlan(
-        reorder=strategy,
-        estimated_diameter=estimate,
-        chain_tip_batch=tip_batch,
-    )
+    return ComponentPlan(reorder=strategy)

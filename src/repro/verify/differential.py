@@ -44,15 +44,15 @@ __all__ = [
 
 
 #: The full configuration lattice a trial sweeps: engines × prep ×
-#: chain-tip lanes × main-loop lanes × ablations × order. Cache warm/cold and the query
-#: engine are exercised separately in :func:`run_trial` (they need a
-#: store and a query batch, not just a config).
+#: lanes (``ecc_lanes="on"`` forces both chain-tip and main-loop lane
+#: sweeps) × ablations × order. Cache warm/cold and the query engine are
+#: exercised separately in :func:`run_trial` (they need a store and a
+#: query batch, not just a config).
 CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
     ("fdiam/par", FDiamConfig()),
     ("fdiam/ser", FDiamConfig(engine="serial")),
     ("fdiam/par+prep", FDiamConfig(prep="auto")),
     ("fdiam/ser+prep", FDiamConfig(engine="serial", prep="auto")),
-    ("fdiam/par+tip-batch", FDiamConfig(chain_tip_batch=True)),
     ("fdiam/ecc-lanes", FDiamConfig(ecc_lanes="on")),
     ("fdiam/random-order", FDiamConfig(order="random", seed=7)),
     ("fdiam/no-winnow", FDiamConfig(use_winnow=False)),

@@ -9,12 +9,15 @@ mutation fuzzer catches the bug class and that the shrinker reduces
 the triggering input to a small replayable artifact.
 
 Each fault builder returns a list of ``(target, attr, faulty)`` patch
-specs. Static-solver faults patch the *name bindings* in the consuming
-driver modules (``repro.core.fdiam`` / ``repro.core.concurrent``), not
-the defining module, because the drivers import the stage functions by
-name. Dynamic-maintenance faults patch class attributes on
-:class:`~repro.dynamic.diameter.DynamicDiameter` (wrapped in
-``staticmethod`` so the rebinding preserves the call convention).
+specs. Static-solver stage faults patch the *name bindings* in the
+consuming driver modules (``repro.core.fdiam`` /
+``repro.core.concurrent``), not the defining module, because the
+drivers import the stage functions by name; the lane fault patches
+:meth:`~repro.core.state.FDiamState.ecc_lanes` on the class, the one
+funnel of every lane-swept eccentricity. Dynamic-maintenance faults
+patch class attributes on :class:`~repro.dynamic.diameter.DynamicDiameter`
+(wrapped in ``staticmethod`` so the rebinding preserves the call
+convention).
 """
 
 from __future__ import annotations
@@ -77,6 +80,26 @@ def _winnow_overgrow() -> list[tuple]:
     return _stage_specs("winnow", faulty)
 
 
+def _lane_off_by_one() -> list[tuple]:
+    """The last lane of every eccentricity lane sweep reads one too high.
+
+    A lane-indexing slip in the bit-parallel sweep: one lane's deepest
+    level is credited one level late. Chain-tip anchors and main-loop
+    vertices both take their eccentricities from this funnel, so the
+    oracle's per-lane eccentricity check must fire on either.
+    """
+    from repro.core.state import FDiamState
+
+    orig = FDiamState.ecc_lanes
+
+    def faulty(self, vertices):
+        eccs = orig(self, vertices).copy()
+        eccs[-1] += 1
+        return eccs
+
+    return [(FDiamState, "ecc_lanes", faulty)]
+
+
 def _dynamic_witness_only() -> list[tuple]:
     """Repair trusts the witness BFS alone, skipping the candidate sweep.
 
@@ -115,6 +138,7 @@ def _dynamic_deletes_keep_bounds() -> list[tuple]:
 _FAULTS = {
     "eliminate-off-by-one": _eliminate_off_by_one,
     "winnow-overgrow": _winnow_overgrow,
+    "lane-off-by-one": _lane_off_by_one,
     "dynamic-witness-only": _dynamic_witness_only,
     "dynamic-deletes-keep-bounds": _dynamic_deletes_keep_bounds,
 }
@@ -126,6 +150,7 @@ _FAULTS = {
 _DOMAINS = {
     "eliminate-off-by-one": "static",
     "winnow-overgrow": "static",
+    "lane-off-by-one": "static",
     "dynamic-witness-only": "dynamic",
     "dynamic-deletes-keep-bounds": "dynamic",
 }

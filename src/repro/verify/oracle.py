@@ -214,7 +214,11 @@ class InvariantOracle:
         self.check_witness(state, stage)
 
     def check_computed(self, state, vertex: int, ecc: int) -> None:
-        """A main-loop eccentricity BFS must return the true value."""
+        """An evaluated eccentricity must be the true value.
+
+        Called for every eccentricity a run evaluates after the 2-sweep:
+        each main-loop BFS or lane, and each chain-tip anchor lane.
+        """
         if ecc != int(self.true_ecc[vertex]):
             raise InvariantViolation(
                 f"[ecc-bfs] eccentricity BFS from {vertex} returned {ecc}, "

@@ -202,13 +202,14 @@ class TestRoutedConsumers:
             assert 0 < b.lane_occupancy <= 1
 
     def test_fdiam_with_lanes(self):
-        # fdiam's one lane consumer: chain tips resolved by anchor sweeps.
+        # fdiam's lane consumers: chain tips resolved by anchor sweeps,
+        # then the main loop's batches.
         from repro.core.config import FDiamConfig
         from repro.core.fdiam import fdiam
 
         g = barabasi_albert(150, 1, seed=6)  # a tree: every leaf is a tip
-        ref = fdiam(g)
-        lanes = fdiam(g, config=FDiamConfig(chain_tip_batch=True))
+        ref = fdiam(g, config=FDiamConfig(ecc_lanes="off"))
+        lanes = fdiam(g, config=FDiamConfig(ecc_lanes="on"))
         assert lanes.diameter == ref.diameter
         assert lanes.stats.workspace.lane_requests > 0
 

@@ -197,8 +197,9 @@ class TestPinnedAnalogCounts:
                 "USA-road-d.NY", FDiamConfig(), 121, True, 32, 645_464,
                 id="USA-road-d.NY-121-True-32-645464",
             ),
-            # The paper's one-BFS-at-a-time loop; the default batches
-            # internet's main loop (see the lane-batched pins below).
+            # The paper's one-BFS-at-a-time loop; the default sweeps
+            # internet's chain tips in lanes (see the lane-batched pins
+            # below).
             pytest.param(
                 "internet", FDiamConfig(ecc_lanes="off"), 28, False, 24, 714_697,
                 id="internet-28-False-24-714697",
@@ -216,20 +217,21 @@ class TestPinnedAnalogCounts:
         assert res.stats.ecc_sweeps == 0
 
     @pytest.mark.parametrize(
-        "name,diameter,infinite,bfs,edges,sweeps,redundant",
+        "name,diameter,infinite,bfs,edges,sweeps,redundant,batch",
         [
-            # Same logical count as the scalar pin above; the 23 main-loop
-            # eccentricities share one lane sweep's gathers.
-            ("internet", 28, False, 24, 555_886, 1, 0),
-            # One 42-lane sweep: 15 members an earlier member pruned.
-            ("rmat16.sym", 13, True, 43, 1_085_536, 1, 15),
+            # Same logical count as the scalar pin above: the 21
+            # surviving chain tips' anchors share one lane sweep, and
+            # the one vertex left for the main loop runs scalar.
+            ("internet", 28, False, 24, 357_821, 1, 0, 1),
+            # A 10-lane tip sweep, then one main-loop sweep: 15 members
+            # an earlier member pruned.
+            ("rmat16.sym", 13, True, 43, 856_195, 2, 15, 64),
         ],
     )
     def test_lane_batched_default_counts(
-        self, name, diameter, infinite, bfs, edges, sweeps, redundant
+        self, name, diameter, infinite, bfs, edges, sweeps, redundant, batch
     ):
-        # Recorded when the hub-heavy main loop started batching its
-        # eccentricities by default.
+        # Recorded when chain tips joined the main loop's ecc_lanes rule.
         res = fdiam(build_analog(name))
         st = res.stats
         assert res.diameter == diameter
@@ -238,7 +240,7 @@ class TestPinnedAnalogCounts:
         assert st.edges_examined == edges
         assert st.ecc_sweeps == sweeps
         assert st.redundant_evaluations == redundant
-        assert st.ecc_batch == 64
+        assert st.ecc_batch == batch
         # Redundant lanes are the only extra logical work.
         scalar = fdiam(build_analog(name), FDiamConfig(ecc_lanes="off")).stats
         assert st.bfs_traversals == scalar.bfs_traversals + redundant

@@ -15,6 +15,7 @@ from repro.core import (
     fdiam,
     fdiam_with_state,
 )
+from repro.core import chain
 from repro.core.concurrent import fdiam_concurrent
 from repro.core.fdiam import _claim
 from repro.errors import AlgorithmError, BenchmarkTimeout
@@ -99,6 +100,31 @@ class TestOracle:
         monkeypatch.setattr(FDiamState, "ecc_lanes", off_by_one)
         with pytest.raises(InvariantViolation, match="ecc-bfs"):
             fdiam(_hub_graph(), ON.ablate(verify=True))
+
+    def test_a_wrong_tip_lane_is_caught(self, monkeypatch):
+        # Corrupt only the chain-tip anchor sweep: a tip's value rises
+        # with its anchor's, stays a valid upper bound, and may sit
+        # below the diameter, so only the per-lane check can see it.
+        in_tips = []
+        original_tips = chain.batch_tip_eccentricities
+        original_lanes = FDiamState.ecc_lanes
+
+        def tips(state, batch):
+            in_tips.append(len(batch))
+            return original_tips(state, batch)
+
+        def off_by_one(self, vertices):
+            eccs = original_lanes(self, vertices).copy()
+            if in_tips and self.stats.ecc_sweeps == 1:
+                eccs[-1] += 1
+            return eccs
+
+        monkeypatch.setattr(chain, "batch_tip_eccentricities", tips)
+        monkeypatch.setattr(FDiamState, "ecc_lanes", off_by_one)
+        with pytest.raises(InvariantViolation, match="ecc-bfs") as caught:
+            fdiam(_hub_graph(), ON.ablate(verify=True))
+        assert in_tips
+        assert "eccentricity BFS from" in str(caught.value)
 
 
 class TestDeadline:

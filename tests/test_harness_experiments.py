@@ -78,19 +78,14 @@ class TestTableDrivers:
         assert "Prep pipeline" in report.text
         assert set(report.data) == {"internet", "USA-road-d.NY"}
         for name, row in report.data.items():
-            # The acceptance criterion, in miniature: auto never does
-            # more traversal work than plain, same diameter. On both
-            # pinned graphs the payoff gate vetoes the reduction stages
-            # (no pendant/mirror structure worth an O(n+m) pass), so
-            # removed-vertex counts are legitimately zero here.
-            assert row["bfs_prep"] <= row["bfs_plain"], name
-            assert row["edges_prep"] <= row["edges_plain"], name
+            # On both pinned graphs the payoff gate vetoes every
+            # reduction stage (no pendant/mirror structure worth an
+            # O(n+m) pass), so auto runs the plain whole-graph path:
+            # same diameter, same traversal work, nothing removed.
             assert row["stages_gated"], name
-        # The planner's engine verdict survives the gate: internet keeps
-        # the chain-tip lane batching and its strict traversal win.
-        internet = report.data["internet"]
-        assert internet["bfs_prep"] < internet["bfs_plain"]
-        assert internet["tip_batched"] >= 1
+            assert row["bfs_prep"] == row["bfs_plain"], name
+            assert row["edges_prep"] == row["edges_plain"], name
+            assert row["vertices_removed"] == 0, name
 
     def test_table5(self):
         report = table5_ablation_bfs(TINY)

@@ -79,40 +79,6 @@ class TestSpeedupShape:
         assert model.speedup(traces, 1) == pytest.approx(1.0)
 
 
-class TestLaneAccounting:
-    def test_lane_level_time_adds_word_traffic(self):
-        model = LevelSynchronousCostModel()
-        base = model.level_time(100, 10_000, 4)
-        one_word = model.lane_level_time(100, 10_000, 64, 4)
-        three_words = model.lane_level_time(100, 10_000, 130, 4)
-        assert base < one_word < three_words
-
-    def test_lanes_within_a_word_cost_the_same(self):
-        model = LevelSynchronousCostModel()
-        assert model.lane_level_time(100, 10_000, 1, 4) == pytest.approx(
-            model.lane_level_time(100, 10_000, 64, 4)
-        )
-
-    def test_invalid_lanes_rejected(self):
-        model = LevelSynchronousCostModel()
-        with pytest.raises(AlgorithmError):
-            model.lane_level_time(100, 10_000, 0, 4)
-
-    def test_batch_speedup_grows_with_lanes(self):
-        model = LevelSynchronousCostModel()
-        trace = trace_of([(500, 40_000), (5_000, 300_000), (800, 50_000)])
-        s8 = model.batch_speedup(trace, 8, 1)
-        s64 = model.batch_speedup(trace, 64, 1)
-        assert 1 < s8 < s64
-        # 64 lanes share one gather; the gain is below the ideal 64x
-        # because of the lane-word combine traffic.
-        assert s64 < 64
-
-    def test_word_rate_param_validated(self):
-        with pytest.raises(AlgorithmError):
-            CostModelParams(lane_word_rate=0.0)
-
-
 class TestMemoryModeVerdict:
     def test_no_budget_decodes(self):
         model = LevelSynchronousCostModel()

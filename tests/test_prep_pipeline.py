@@ -14,9 +14,12 @@ import pytest
 from repro.core.config import FDiamConfig
 from repro.core.fdiam import fdiam
 from repro.errors import AlgorithmError
+from repro.core import chain
 from repro.generators import (
     add_isolated_vertices,
+    add_tendrils,
     balanced_tree,
+    barabasi_albert,
     barbell,
     caterpillar,
     complete_graph,
@@ -94,34 +97,54 @@ class TestSpecGrammar:
             PrepSpec.parse(junk)
 
 
-class TestPlanner:
-    def test_low_diameter_component_gets_tip_batch(self):
-        # Hub-heavy, low estimated diameter: lane-mode tip batching pays.
-        graph = star_graph(200)
-        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
-        assert plan.chain_tip_batch
-        assert plan.reorder == "degree"  # hub skew picks degree order
+def _record_tip_sweeps(monkeypatch) -> list[int]:
+    """Record the tip count of every chain-tip lane batch F-Diam runs."""
+    swept: list[int] = []
+    original = chain.batch_tip_eccentricities
 
-    def test_high_diameter_component_stays_scalar(self):
-        # A long path: estimated diameter blows the lane level cap, so
-        # tip batching is vetoed.
-        graph = path_graph(3000)
+    def record(state, tips):
+        swept.append(len(tips))
+        return original(state, tips)
+
+    monkeypatch.setattr(chain, "batch_tip_eccentricities", record)
+    return swept
+
+
+class TestPlanner:
+    def test_low_diameter_component_gets_tip_batch(self, monkeypatch):
+        # Hub-heavy with a short bound: the planner picks degree order,
+        # and the component's run sweeps its chain tips in lanes under
+        # the same ecc_lanes rule as a plain run.
+        graph = add_tendrils(barabasi_albert(2000, 3, seed=4), 12, 3, 7, seed=4)
         plan = plan_component(graph, spec=PrepSpec.parse("auto"))
-        assert not plan.chain_tip_batch
+        assert plan.reorder == "degree"  # hub skew picks degree order
+        swept = _record_tip_sweeps(monkeypatch)
+        prepped = fdiam(graph, FDiamConfig(prep="auto"))
+        assert swept and min(swept) >= 8
+        assert prepped.diameter == fdiam(graph, FDiamConfig(ecc_lanes="off")).diameter
+
+    def test_high_diameter_component_stays_scalar(self, monkeypatch):
+        # A road mesh with tendrils: low skew, so the tips and the main
+        # loop both stay scalar.
+        graph = add_tendrils(road_network(30, 30, seed=2), 12, 3, 7, seed=4)
+        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
         assert plan.reorder == "bfs"  # low skew picks BFS level order
+        swept = _record_tip_sweeps(monkeypatch)
+        prepped = fdiam(graph, FDiamConfig(prep="auto"))
+        assert swept == []
+        assert prepped.stats.ecc_sweeps == 0
 
     def test_without_plan_stage_nothing_is_second_guessed(self):
         graph = path_graph(3000)
         plan = plan_component(graph, spec=PrepSpec.parse("reorder=rcm"))
-        assert not plan.chain_tip_batch  # planner off: no tip batching
         assert plan.reorder == "rcm"
 
     def test_model_threshold_is_respected(self):
-        # With a huge level cap the veto disappears for the same graph.
+        # With a hub skew of 1 the same path counts as hub-heavy.
         graph = path_graph(3000)
-        model = LevelSynchronousCostModel(CostModelParams(lane_level_cap=10**6))
+        model = LevelSynchronousCostModel(CostModelParams(hub_skew=1.0))
         plan = plan_component(graph, spec=PrepSpec.parse("auto"), model=model)
-        assert plan.chain_tip_batch
+        assert plan.reorder == "degree"
 
 
 class TestEquivalence:
@@ -135,11 +158,11 @@ class TestEquivalence:
             assert prepped.infinite == plain.infinite, (graph.name, spec)
 
     def test_forced_tip_batch_matches(self):
-        # The chain-tip lane batch (normally planner-gated) must be
-        # exact wherever it is forced on.
+        # The chain-tip lane batch (normally gated by the ecc_lanes
+        # rule) must be exact wherever it is forced on.
         for graph in family_graphs():
-            plain = fdiam(graph)
-            forced = fdiam(graph, FDiamConfig(chain_tip_batch=True))
+            plain = fdiam(graph, FDiamConfig(ecc_lanes="off"))
+            forced = fdiam(graph, FDiamConfig(ecc_lanes="on"))
             assert forced.diameter == plain.diameter, graph.name
             assert forced.infinite == plain.infinite, graph.name
 

@@ -48,7 +48,6 @@ class TestTrialCleanliness:
             "fdiam/par",
             "fdiam/ser",
             "fdiam/par+prep",
-            "fdiam/par+tip-batch",
             "fdiam/ecc-lanes",
             "fdiam/random-order",
             "fdiam/no-winnow",
@@ -59,7 +58,6 @@ class TestTrialCleanliness:
         configs = [config for _label, config in CONFIG_LATTICE]
         assert any(not c.use_winnow for c in configs)
         assert any(c.prep != "off" for c in configs)
-        assert any(c.chain_tip_batch for c in configs)
         assert any(c.ecc_lanes == "on" for c in configs)
         assert {c.engine for c in configs} == {"parallel", "serial"}
 

@@ -24,7 +24,7 @@ CONFIGS = [
     FDiamConfig(verify=True, use_winnow=False),
     FDiamConfig(verify=True, use_eliminate=False),
     FDiamConfig(verify=True, use_chain=False),
-    FDiamConfig(verify=True, chain_tip_batch=True),
+    FDiamConfig(verify=True, ecc_lanes="on"),
 ]
 
 
@@ -79,6 +79,12 @@ class TestOracleChecks:
         assert oracle.true_diameter == 1  # largest-component convention
 
 
+#: The configuration whose code path a fault breaks, where the default
+#: never reaches it: the ecc_lanes rule sweeps no lanes on graphs this
+#: small, so the lane fault is run with lanes forced on.
+FAULT_CONFIGS = {"lane-off-by-one": FDiamConfig(verify=True, ecc_lanes="on")}
+
+
 class TestFaultInjection:
     def test_faults_are_listed(self):
         names = available_faults()
@@ -94,12 +100,13 @@ class TestFaultInjection:
     def test_fault_is_caught_by_oracle(self, fault):
         # Static faults only: dynamic repair-rule faults never touch a
         # plain fdiam run — test_verify_mutation covers them.
+        config = FAULT_CONFIGS.get(fault, FDiamConfig(verify=True))
         caught = 0
         with inject_fault(fault):
             for seed in range(40):
                 graph, _ = build_fuzz_graph(seed, max_vertices=48)
                 try:
-                    fdiam(graph, FDiamConfig(verify=True))
+                    fdiam(graph, config)
                 except InvariantViolation:
                     caught += 1
         assert caught > 0, f"{fault} never triggered the oracle in 40 seeds"

@@ -172,18 +172,18 @@ class TestLaneFallback:
 class TestChainTipBatch:
     def test_tip_batch_exactness_on_tendril_graphs(self):
         # Pendant chains of assorted lengths around small cores — the
-        # shape chain-tip batching exists for. Forced on, it must agree
-        # with the scalar path everywhere.
+        # shape chain-tip batching exists for. Forced on (with the main
+        # loop's lanes), it must agree with the scalar path everywhere.
         for seed in range(5):
             graph = rmat(7, edge_factor=3, seed=seed)
-            plain = fdiam(graph)
-            forced = fdiam(graph, FDiamConfig(chain_tip_batch=True))
+            plain = fdiam(graph, FDiamConfig(ecc_lanes="off"))
+            forced = fdiam(graph, FDiamConfig(ecc_lanes="on"))
             assert forced.diameter == plain.diameter, seed
             assert forced.infinite == plain.infinite, seed
 
     def test_tip_batch_reduces_traversals_on_caterpillar(self):
         graph = caterpillar(6, 8)  # many pendant legs, tiny diameter
-        plain = fdiam(graph)
-        forced = fdiam(graph, FDiamConfig(chain_tip_batch=True))
+        plain = fdiam(graph, FDiamConfig(ecc_lanes="off"))
+        forced = fdiam(graph, FDiamConfig(ecc_lanes="on"))
         assert forced.diameter == plain.diameter
         assert forced.stats.bfs_traversals <= plain.stats.bfs_traversals
