@@ -36,12 +36,19 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
     "gather_neighbors",
     "gather_rows",
     "row_any",
     "compact_unique",
     "frontier_edge_count",
 ]
+
+#: Frontier-size fraction of ``|V|`` past which a level may be expanded
+#: bottom-up: by the scalar hybrid BFS, and by the lane sweep's pull-only
+#: levels (paper Section 4.6: "We experimentally determined a threshold
+#: of 10% of the number of vertices to yield good performance").
+DEFAULT_THRESHOLD = 0.10
 
 #: Fresh sets larger than this fraction of ``|V|`` are deduplicated by
 #: claim + ``flatnonzero`` compaction instead of the owner claim's

@@ -38,27 +38,45 @@ from repro.core.state import MAX_BOUND, FDiamState, ecc_batch_size
 from repro.core.stats import Reason
 from repro.graph.degrees import degree_one_vertices
 
-__all__ = ["process_chains", "follow_chain", "batch_tip_eccentricities"]
+__all__ = ["process_chains", "walk_chains", "follow_chain", "batch_tip_eccentricities"]
+
+
+def walk_chains(state: FDiamState, tips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the degree-2 chains of all degree-1 ``tips`` in lockstep.
+
+    Returns ``(anchors, lengths)``: per tip, the first vertex of degree
+    ≠ 2 reached and the number of edges walked. Each step advances
+    every tip still on a degree-2 vertex by one edge with array
+    operations, so the walk costs one NumPy pass per step of the
+    longest chain instead of a Python loop per tip. Termination is
+    guaranteed because a degree-2 run starting at a degree-1 vertex
+    cannot close a cycle (a cycle entry vertex would need degree ≥ 3).
+    """
+    graph = state.graph
+    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
+    prev = np.asarray(tips, dtype=np.int64).copy()
+    node = indices[indptr[prev]].astype(np.int64)
+    lengths = np.ones(len(prev), dtype=np.int64)
+    walking = np.flatnonzero(degrees[node] == 2)
+    while len(walking):
+        here = node[walking]
+        first = indices[indptr[here]]
+        # Step to the neighbour we did not come from.
+        nxt = np.where(first == prev[walking], indices[indptr[here] + 1], first)
+        prev[walking] = here
+        node[walking] = nxt
+        lengths[walking] += 1
+        walking = walking[degrees[nxt] == 2]
+    return node, lengths
 
 
 def follow_chain(state: FDiamState, tip: int) -> tuple[int, int]:
-    """Walk the degree-2 chain starting at degree-1 vertex ``tip``.
+    """``(anchor, length)`` of the chain at degree-1 vertex ``tip``.
 
-    Returns ``(anchor, length)``: the first vertex of degree ≠ 2
-    reached, and the number of edges walked. Termination is guaranteed
-    because a degree-2 run starting at a degree-1 vertex cannot close a
-    cycle (a cycle entry vertex would need degree ≥ 3).
+    The one-tip form of :func:`walk_chains`.
     """
-    graph = state.graph
-    prev = tip
-    node = int(graph.neighbors(tip)[0])
-    length = 1
-    while graph.degree(node) == 2:
-        a, b = graph.neighbors(node)
-        nxt = int(b) if int(a) == prev else int(a)
-        prev, node = node, nxt
-        length += 1
-    return node, length
+    anchors, lengths = walk_chains(state, np.array([tip]))
+    return int(anchors[0]), int(lengths[0])
 
 
 def process_chains(state: FDiamState) -> int:
@@ -72,20 +90,14 @@ def process_chains(state: FDiamState) -> int:
     if len(tips) == 0:
         return 0
 
-    # Walk every chain first (scalar, but chains are short and few).
-    anchors: list[int] = []
-    lengths: list[int] = []
-    for tip in tips:
-        anchor, length = follow_chain(state, int(tip))
-        anchors.append(anchor)
-        lengths.append(length)
-    max_len = max(lengths)
+    anchors, lengths = walk_chains(state, tips)
+    max_len = int(lengths.max())
 
     n = state.graph.num_vertices
     is_tip = np.zeros(n, dtype=bool)
     is_tip[tips] = True
     is_anchor = np.zeros(n, dtype=bool)
-    is_anchor[np.asarray(anchors, dtype=np.int64)] = True
+    is_anchor[anchors] = True
     tip_step = np.full(n, -1, dtype=np.int64)
 
     # Staggered multi-source wave: a chain of length s injects its
@@ -97,7 +109,7 @@ def process_chains(state: FDiamState) -> int:
     # callback — the running wave continues past them with bounds at
     # least as tight, covering their ball (see module docstring).
     by_offset: dict[int, list[int]] = {}
-    for anchor, length in zip(anchors, lengths):
+    for anchor, length in zip(anchors.tolist(), lengths.tolist()):
         by_offset.setdefault(max_len - length, []).append(anchor)
 
     state.stats.eliminate_calls += 1
@@ -127,8 +139,8 @@ def process_chains(state: FDiamState) -> int:
     # Tips that double as anchors (2-vertex path components) are kept
     # unconditionally.
     representative: dict[tuple[int, int], int] = {}
-    for tip, anchor, length in zip(tips, anchors, lengths):
-        representative[(anchor, length)] = int(tip)
+    for tip, anchor, length in zip(tips.tolist(), anchors.tolist(), lengths.tolist()):
+        representative[(anchor, length)] = tip
     batchable: list[tuple[int, int, int]] = []
     kept: list[int] = []
     for (anchor, length), tip in representative.items():
@@ -140,8 +152,13 @@ def process_chains(state: FDiamState) -> int:
     # One rule for every lane-swept eccentricity: the tips follow
     # ecc_lanes exactly as the main loop does. A lone batchable tip
     # stays active, as a lone main-loop vertex runs one scalar BFS.
+    # Only the 64 longest chains are swept up front: their tips most
+    # likely carry the diameter (the tendrils of PAPER.md §2), and the
+    # rest stay active for the main loop, whose Eliminates may prune
+    # them before they cost an evaluation.
     if len(batchable) > 1 and ecc_batch_size(state, len(batchable))[0] > 1:
-        batch_tip_eccentricities(state, batchable)
+        batchable.sort(key=lambda t: -t[2])
+        batch_tip_eccentricities(state, batchable[:LANE_WIDTH])
     if state.oracle is not None:
         state.oracle.check_chain(state, kept)
         state.oracle.check_stage(state, "chain")
@@ -151,12 +168,12 @@ def process_chains(state: FDiamState) -> int:
 def batch_tip_eccentricities(
     state: FDiamState, tips: list[tuple[int, int, int]]
 ) -> int:
-    """Resolve surviving chain tips with lane sweeps from their anchors.
+    """Resolve surviving chain tips with one lane sweep from their anchors.
 
     ``tips`` holds ``(tip, anchor, length)`` triples of pendant tips (a
     pendant tip is reachable only through its chain, so
     ``d(tip, x) = length + d(anchor, x)`` for every ``x`` outside it).
-    One bit-parallel sweep yields up to 64 anchor eccentricities at
+    One bit-parallel sweep yields all their anchor eccentricities at
     once; a tip whose anchor eccentricity exceeds its chain length —
     the eccentricity is then realized *outside* the tip's own chain —
     gets the exact value ``length + ecc(anchor)`` and is removed.
@@ -165,26 +182,24 @@ def batch_tip_eccentricities(
     stay active for the main loop; fewer than that is impossible
     because the tip sits at exactly ``length`` hops.
 
-    The sweeps run through :meth:`FDiamState.ecc_lanes`, so they count
+    The sweep runs through :meth:`FDiamState.ecc_lanes`, so it counts
     as the main loop's do: one logical eccentricity BFS per lane, one
-    ``ecc_sweeps`` per sweep. The oracle, when attached, checks every
-    anchor lane. Returns the number of tips resolved.
+    ``ecc_sweeps``. The oracle, when attached, checks every anchor
+    lane. Returns the number of tips resolved.
     """
     old_bound = state.bound
     resolved = 0
-    for base in range(0, len(tips), LANE_WIDTH):
-        chunk = tips[base : base + LANE_WIDTH]
-        sources = np.array([anchor for _, anchor, _ in chunk], dtype=np.int64)
-        eccs = state.ecc_lanes(sources).tolist()
-        for (tip, anchor, length), anchor_ecc in zip(chunk, eccs):
-            if state.oracle is not None:
-                state.oracle.check_computed(state, anchor, anchor_ecc)
-            if anchor_ecc > length:
-                tip_ecc = length + anchor_ecc
-                state.remove(tip, np.int64(tip_ecc), Reason.CHAIN)
-                resolved += 1
-                if tip_ecc > state.bound:
-                    state.bound = tip_ecc
+    sources = np.array([anchor for _, anchor, _ in tips], dtype=np.int64)
+    eccs = state.ecc_lanes(sources).tolist()
+    for (tip, anchor, length), anchor_ecc in zip(tips, eccs):
+        if state.oracle is not None:
+            state.oracle.check_computed(state, anchor, anchor_ecc)
+        if anchor_ecc > length:
+            tip_ecc = length + anchor_ecc
+            state.remove(tip, np.int64(tip_ecc), Reason.CHAIN)
+            resolved += 1
+            if tip_ecc > state.bound:
+                state.bound = tip_ecc
     if state.bound > old_bound:
         state.stats.bound_updates += 1
     return resolved

@@ -51,6 +51,29 @@ class TestFollowChain:
         assert length == 1
 
 
+    def test_lockstep_walk_matches_one_tip_at_a_time(self):
+        # All tips walk together, one edge per step; each must end
+        # where a plain walk of its own chain ends, after as many edges.
+        from repro.core.chain import walk_chains
+        from repro.generators import add_tendrils, barabasi_albert
+        from repro.graph.degrees import degree_one_vertices
+
+        graph = add_tendrils(barabasi_albert(300, 1, seed=2), 40, 1, 9, seed=3)
+        graph = from_edges(
+            list(graph.iter_edges()) + [(400, 401), (402, 403), (403, 404)]
+        )  # plus a 2-vertex and a 3-vertex path component
+        tips = degree_one_vertices(graph)
+        anchors, lengths = walk_chains(make_state(graph), tips)
+        for tip, anchor, length in zip(tips.tolist(), anchors.tolist(), lengths.tolist()):
+            prev, node, walked = tip, int(graph.neighbors(tip)[0]), 1
+            while graph.degree(node) == 2:
+                a, b = graph.neighbors(node).tolist()
+                prev, node = node, (b if a == prev else a)
+                walked += 1
+            assert (anchor, length) == (node, walked), tip
+        assert lengths.max() >= 9
+
+
 class TestProcessChains:
     def test_no_degree_one_vertices(self):
         state = make_state(cycle_graph(8))
