@@ -54,10 +54,11 @@ class FDiamConfig:
     seed:
         RNG seed for ``order="random"``.
     threshold:
-        Direction-switch threshold of the hybrid BFS (fraction of |V|).
+        Direction-switch threshold of the hybrid BFS and of the lane
+        sweeps' pull-only levels (fraction of |V|).
     directions:
-        Allow bottom-up steps in the hybrid BFS; ``False`` forces pure
-        top-down.
+        Allow bottom-up steps in the hybrid BFS and pull-only levels in
+        lane sweeps; ``False`` forces pure top-down.
     keep_traces:
         Retain per-level BFS traces (needed by the parallel cost model).
     prep:
