@@ -461,8 +461,10 @@ class TraversalKernel:
         :meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_gather_path`
         whether to decode just its frontier's blocks (level-capped
         waves expected to touch only a sliver of the graph);
-        ``"cached"`` — route *every* scalar expansion through the
-        store's block cache, byte-capped at the budget; ``"stream"`` —
+        ``"cached"`` — route *every* :meth:`bfs` and :meth:`levels`
+        expansion through the store's block cache, byte-capped at the
+        budget (lane sweeps and :meth:`distance_batch` rows read the
+        decoded arrays); ``"stream"`` —
         ditto, but decoded blocks are never retained, so decoded
         scratch is bounded by one frontier's blocks. Forcing
         ``"cached"`` / ``"stream"`` requires a store-backed graph. All
@@ -654,8 +656,14 @@ class TraversalKernel:
         max_level: int | None,
         record_dist: bool,
         record_trace: bool,
+        decoded: bool = False,
     ) -> BFSResult:
-        """Direction-optimized BFS (the paper's Algorithm 2 / §4.6)."""
+        """Direction-optimized BFS (the paper's Algorithm 2 / §4.6).
+
+        ``decoded`` reads the decoded ``indices`` under every memory
+        mode, as lane sweeps do, instead of the budget modes' block
+        path.
+        """
         graph, ws = self.graph, self.workspace
         n = graph.num_vertices
         if not 0 <= source < n:
@@ -675,10 +683,11 @@ class TraversalKernel:
         level = 0
         last_nonempty = frontier
         # Memory-budgeted modes route every expansion through the
-        # store's block path (bottom-up needs the full decoded indices,
-        # so it is disabled under pressure — the next frontier is
-        # identical either way, only the arc accounting differs).
-        use_blocks = self.memory_mode in ("cached", "stream")
+        # store's block path unless ``decoded`` (bottom-up needs the
+        # full decoded indices, so it is disabled under pressure — the
+        # next frontier is identical either way, only the arc
+        # accounting differs).
+        use_blocks = not decoded and self.memory_mode in ("cached", "stream")
         retain = self.memory_mode != "stream"
 
         while len(frontier):
@@ -873,11 +882,16 @@ class TraversalKernel:
         (:mod:`repro.query`): ``sources`` are packed 64 per machine
         word and swept in chunks of at most ``max_lanes``, so ``k``
         distance rows cost ``ceil(k / max_lanes)`` physical gather
-        passes instead of ``k`` scalar traversals. Returns the stacked
-        ``(k, n)`` ``int32`` distance matrix (``-1`` unreached, row
-        ``i`` for ``sources[i]``) plus the per-chunk
-        :class:`~repro.bfs.bitparallel.LaneSweep` records, whose
-        ``eccentricities`` / ``edges_examined`` fields carry the
+        passes instead of ``k`` scalar traversals. A chunk of one
+        source — a lone query, or the tail of a chunked batch — has no
+        gathers to share, so it runs the direction-optimized scalar BFS
+        instead (:meth:`_lone_row`). On a 2-vCPU host a row took 1.2–1.9
+        ms that way against 2.7–7.8 ms as a 1-lane sweep, on the
+        ``repro serve`` benchmark's three tenants. Returns
+        the stacked ``(k, n)`` ``int32`` distance matrix (``-1``
+        unreached, row ``i`` for ``sources[i]``) plus one
+        :class:`~repro.bfs.bitparallel.LaneSweep` record per chunk,
+        whose ``eccentricities`` / ``edges_examined`` fields carry the
         accounting the caller reports.
         """
         if max_lanes <= 0:
@@ -891,18 +905,49 @@ class TraversalKernel:
         rows: list[np.ndarray] = []
         sweeps: list[LaneSweep] = []
         for lo in range(0, len(sources), max_lanes):
-            dist, sweep = lane_distances(
-                self.graph,
-                sources[lo : lo + max_lanes],
-                threshold=self.threshold,
-                directions=self.directions,
-                pool=self.workspace,
-                check=self.check_deadline,
-            )
+            chunk = sources[lo : lo + max_lanes]
+            if len(chunk) == 1:
+                dist, sweep = self._lone_row(int(chunk[0]))
+            else:
+                dist, sweep = lane_distances(
+                    self.graph,
+                    chunk,
+                    threshold=self.threshold,
+                    directions=self.directions,
+                    pool=self.workspace,
+                    check=self.check_deadline,
+                )
             rows.append(dist)
             sweeps.append(sweep)
         stacked = rows[0] if len(rows) == 1 else np.concatenate(rows)
         return stacked, sweeps
+
+    def _lone_row(self, source: int) -> tuple[np.ndarray, LaneSweep]:
+        """One source's ``(1, n)`` distance row by the hybrid BFS.
+
+        Reads the decoded ``indices`` under every memory mode, as lane
+        sweeps do. The row is reported as a one-lane sweep, so callers
+        count it the same way.
+        """
+        stats = self.workspace.stats
+        edges_before = stats.edges_examined
+        result = self._hybrid_bfs(
+            source,
+            max_level=None,
+            record_dist=True,
+            record_trace=False,
+            decoded=True,
+        )
+        row = result.dist.astype(np.int32)[None, :]
+        self.workspace.release_dist(result.dist)
+        sweep = LaneSweep(
+            sources=np.array([source], dtype=np.int64),
+            width=1,
+            eccentricities=np.array([result.eccentricity], dtype=np.int64),
+            levels=result.eccentricity,
+            edges_examined=stats.edges_examined - edges_before,
+        )
+        return row, sweep
 
     # ------------------------------------------------------------------
     # Staggered multi-source wave (Chain Processing)

@@ -13,7 +13,10 @@ through a :class:`SweepExecutor` with three interchangeable backends:
   structures where lane words lose.
 * ``bitparallel`` — chunked 64-lane shared-gather sweeps
   (:func:`repro.bfs.bitparallel.lane_distances`); amortizes up to 64
-  traversals per edge-gather pass.
+  traversals per edge-gather pass. A chunk of one source runs the
+  kernel's scalar hybrid BFS instead, 2–4× cheaper than a 1-lane sweep
+  (:meth:`~repro.bfs.kernel.TraversalKernel.distance_batch`); the
+  multiprocess workers call the same method and get the same rule.
 * ``multiprocess`` — real shared-memory parallelism: the CSR lives in
   a ``multiprocessing.shared_memory`` segment
   (:class:`~repro.parallel.shm.SharedCSR`), a persistent worker pool

@@ -386,7 +386,10 @@ class QueryEngine:
         """Answer a batch of queries against the graph under ``key``.
 
         All distinct sources the batch needs that are not already
-        memoized are packed into chunked 64-lane sweeps; ``diam`` is
+        memoized are packed into chunked 64-lane sweeps, except that a
+        lone source (or a chunk's one-source tail) runs the scalar
+        hybrid BFS, which is 2–4× cheaper than a 1-lane sweep and
+        still counts as one sweep; ``diam`` is
         answered from the entry's cached diameter when known (a
         previous batch, or the store's sidecar), else by one
         :func:`repro.core.fdiam.fdiam` run whose traversals are

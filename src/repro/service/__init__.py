@@ -8,7 +8,8 @@ that gap with the trick inference servers use — **continuous
 batching**: an always-on asyncio HTTP/JSON server that runs a batch as
 soon as its dispatch thread is free and merges every request arriving
 meanwhile into the next one, so N concurrent single queries cost ~N/64
-gather passes instead of N scalar BFS runs.
+gather passes instead of N scalar BFS runs. A query that runs alone
+gets the scalar hybrid BFS, which beats a 1-lane sweep.
 
 Layers (DESIGN.md §15):
 

@@ -4,7 +4,8 @@ The mechanism that turns PR 4's batched :class:`~repro.query.QueryEngine`
 into multi-user throughput. Requests arrive one at a time from
 concurrent clients; the scheduler merges each graph's arrivals into one
 ``QueryEngine.run`` batch, so N concurrent single queries cost ~N/64
-edge-gather passes instead of N scalar BFS runs.
+edge-gather passes instead of N scalar BFS runs (a query flushed alone
+runs the scalar hybrid BFS, which beats a 1-lane sweep).
 
 Dispatch is work-conserving: nothing ever waits on a timer (DESIGN.md
 §15.1).

@@ -364,10 +364,22 @@ def _check_queries(
             queries.append(("ecc", u))
             expected.append(int(ref_ecc[u]))
 
+    # A batch of one source takes the scalar lone-row path, which the
+    # mixed batch never reaches: also answer one ``dist`` and one
+    # ``ecc`` in batches of their own, with no memo to hit.
+    u, v, w = (int(x) for x in rng.integers(n, size=3))
+    lone = [("dist", u, v), ("ecc", w)]
+    expected += [int(row(u)[v]), int(row(w).max())]
+
     try:
         engine = QueryEngine(batch_lanes=64)
         key = engine.add_graph(graph)
         answers, _stats = engine.run(key, queries)
+        lone_engine = QueryEngine(memo_vectors=0)
+        lone_key = lone_engine.add_graph(graph)
+        for query in lone:
+            answers += lone_engine.run(lone_key, [query])[0]
+        queries += lone
     except ReproError as exc:
         return [Disagreement("query", f"{type(exc).__name__}: {exc}")]
     found = []

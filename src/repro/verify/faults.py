@@ -14,7 +14,9 @@ consuming driver modules (``repro.core.fdiam`` /
 ``repro.core.concurrent``), not the defining module, because the
 drivers import the stage functions by name; the lane fault patches
 :meth:`~repro.core.state.FDiamState.ecc_lanes` on the class, the one
-funnel of every lane-swept eccentricity. Dynamic-maintenance faults
+funnel of every lane-swept eccentricity, and the row fault patches
+``TraversalKernel._lone_row``, the one funnel of every lone-source
+distance row. Dynamic-maintenance faults
 patch class attributes on :class:`~repro.dynamic.diameter.DynamicDiameter`
 (wrapped in ``staticmethod`` so the rebinding preserves the call
 convention).
@@ -100,6 +102,28 @@ def _lane_off_by_one() -> list[tuple]:
     return [(FDiamState, "ecc_lanes", faulty)]
 
 
+def _row_off_by_one() -> list[tuple]:
+    """One entry of every lone-source distance row reads one too high.
+
+    A read-out slip in the scalar path that answers a chunk of one
+    source (:meth:`~repro.bfs.kernel.TraversalKernel._lone_row`): the
+    row's farthest vertex is credited one level late, so both a
+    ``dist`` to it and the source's ``ecc`` (the row maximum) come out
+    wrong. fdiam never asks for distance rows; the differential
+    fuzzer's lone ``dist``/``ecc`` queries must catch it.
+    """
+    from repro.bfs.kernel import TraversalKernel
+
+    orig = TraversalKernel._lone_row
+
+    def faulty(self, source):
+        row, sweep = orig(self, source)
+        row[0, np.argmax(row[0])] += 1
+        return row, sweep
+
+    return [(TraversalKernel, "_lone_row", faulty)]
+
+
 def _dynamic_witness_only() -> list[tuple]:
     """Repair trusts the witness BFS alone, skipping the candidate sweep.
 
@@ -139,18 +163,23 @@ _FAULTS = {
     "eliminate-off-by-one": _eliminate_off_by_one,
     "winnow-overgrow": _winnow_overgrow,
     "lane-off-by-one": _lane_off_by_one,
+    "row-off-by-one": _row_off_by_one,
     "dynamic-witness-only": _dynamic_witness_only,
     "dynamic-deletes-keep-bounds": _dynamic_deletes_keep_bounds,
 }
 
 #: Which verification harness is expected to catch each fault:
 #: ``static`` faults break fdiam's pruning stages and trip the
-#: invariant oracle; ``dynamic`` faults break the maintainer's repair
-#: rules and only the mutation fuzzer's recompute comparison sees them.
+#: invariant oracle; ``query`` faults break the distance rows behind
+#: ``dist``/``ecc`` queries, which fdiam never reads, so only the
+#: static fuzz campaign's query checks see them; ``dynamic`` faults
+#: break the maintainer's repair rules and only the mutation fuzzer's
+#: recompute comparison sees them.
 _DOMAINS = {
     "eliminate-off-by-one": "static",
     "winnow-overgrow": "static",
     "lane-off-by-one": "static",
+    "row-off-by-one": "query",
     "dynamic-witness-only": "dynamic",
     "dynamic-deletes-keep-bounds": "dynamic",
 }
@@ -160,8 +189,10 @@ def available_faults(domain: str | None = None) -> tuple[str, ...]:
     """Names accepted by :func:`inject_fault`.
 
     ``domain`` filters to ``"static"`` (solver-stage faults the
-    invariant oracle catches) or ``"dynamic"`` (repair-rule faults the
-    mutation fuzzer catches); ``None`` returns everything.
+    invariant oracle catches), ``"query"`` (distance-row faults the
+    static fuzz campaign's query checks catch) or ``"dynamic"``
+    (repair-rule faults the mutation fuzzer catches); ``None`` returns
+    everything.
     """
     if domain is None:
         return tuple(_FAULTS)

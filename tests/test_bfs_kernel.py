@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_gnp
+import repro.bfs.kernel as kernel_mod
 from repro.bfs import TraversalKernel, VisitMarks, Workspace
+from repro.bfs.bitparallel import lane_distances
+from repro.bfs.reference import serial_distances
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.generators import path_graph, star_graph
+from repro.graph import from_edges
 
 
 class TestWorkspace:
@@ -163,6 +167,72 @@ class TestKernelBFS:
         assert kernel.ball(0, 1).tolist() == list(range(7))
         assert kernel.ball(3, 1).tolist() == [0, 3]
         assert kernel.ball(3, 1, include_center=False).tolist() == [0]
+
+
+class TestLoneRow:
+    """A chunk of one source runs the scalar hybrid BFS, not a lane sweep."""
+
+    @pytest.fixture
+    def no_lanes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lone source must not run a lane sweep")
+
+        monkeypatch.setattr(kernel_mod, "lane_distances", refuse)
+
+    def test_row_matches_reference_and_one_lane_sweep(self, no_lanes):
+        # A path, a star and two isolated vertices (4 and 8).
+        g = from_edges([(0, 1), (1, 2), (2, 3), (5, 6), (5, 7)], num_vertices=9)
+        kernel = TraversalKernel(g)
+        for s in range(g.num_vertices):
+            want = serial_distances(g, s)
+            lanes, _ = lane_distances(g, [s])
+            dist, sweeps = kernel.distance_batch([s])
+            assert dist.dtype == np.int32 and dist.shape == (1, 9)
+            assert dist[0].tolist() == want.tolist() == lanes[0].tolist()
+            assert len(sweeps) == 1 and sweeps[0].lane_count == 1
+        assert kernel.distance_batch([8])[0][0].tolist() == [-1] * 8 + [0]
+
+    def test_record_carries_eccentricity_levels_and_arcs(self, no_lanes):
+        kernel = TraversalKernel(path_graph(10))
+        before = kernel.workspace.stats.edges_examined
+        _, (sweep,) = kernel.distance_batch([3])
+        assert sweep.sources.tolist() == [3]
+        assert sweep.eccentricities.tolist() == [6]
+        assert sweep.levels == 6
+        assert sweep.edges_examined == kernel.workspace.stats.edges_examined - before
+        assert sweep.edges_examined > 0
+        lonely = TraversalKernel(from_edges([(0, 1)], num_vertices=3))
+        _, (sweep,) = lonely.distance_batch([2])
+        assert sweep.eccentricities.tolist() == [0] and sweep.levels == 0
+
+    def test_dist_buffer_goes_back_to_the_pool(self, no_lanes):
+        kernel = TraversalKernel(path_graph(20))
+        kernel.distance_batch([0])
+        stats = kernel.workspace.stats
+        reuses = stats.buffer_reuses
+        kernel.workspace.acquire_dist()  # the row's buffer, pooled
+        assert stats.buffer_reuses == reuses + 1
+
+    def test_lone_tail_chunk(self, seeded_rng):
+        g, _ = random_gnp(120, 0.04, seed=11)
+        sources = seeded_rng.integers(0, g.num_vertices, size=257)
+        dist, sweeps = TraversalKernel(g).distance_batch(sources, max_lanes=256)
+        assert [s.lane_count for s in sweeps] == [256, 1]
+        want = np.stack([serial_distances(g, int(s)) for s in sources])
+        np.testing.assert_array_equal(dist, want)
+        lanes, _ = lane_distances(g, sources[256:])
+        np.testing.assert_array_equal(dist[256:], lanes)
+        flat = [int(e) for s in sweeps for e in s.eccentricities]
+        assert flat == [int(row.max()) for row in dist]
+
+    def test_deadline_aborts_a_lone_row(self, no_lanes):
+        kernel = TraversalKernel(path_graph(2000), deadline=time.perf_counter() - 1.0)
+        with pytest.raises(BenchmarkTimeout):
+            kernel.distance_batch([0])
+
+    def test_source_out_of_range(self):
+        with pytest.raises(AlgorithmError):
+            TraversalKernel(path_graph(5)).distance_batch([5])
 
 
 class TestStaggeredWave:

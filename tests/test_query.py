@@ -17,6 +17,7 @@ from repro.core.fdiam import fdiam
 from repro.errors import AlgorithmError
 from repro.generators import disjoint_union, path_graph, star_graph
 from repro.query import BatchStats, QueryEngine, parse_query
+from repro.store import load_scsr, save_scsr
 
 
 @pytest.fixture()
@@ -275,3 +276,24 @@ class TestStoreIntegration:
         key = engine.add_graph(graph)
         engine.run(key, ["ecc 0"])
         assert engine.flush() == 0
+
+
+class TestLoneSourceUnderMemoryBudget:
+    def test_cached_mode_row_reads_the_decoded_arrays(self, graph, tmp_path):
+        # A one-query batch runs the scalar hybrid BFS on the decoded
+        # indices; the block path of kernel.bfs would decode blocks.
+        save_scsr(graph, tmp_path / "g.scsr")
+        stored = load_scsr(tmp_path / "g.scsr", mmap=True)
+        try:
+            decoded = stored.indptr.nbytes + stored.indices.nbytes
+            engine = QueryEngine(memory_budget=decoded // 4)
+            key = engine.add_graph(stored)
+            assert engine._entry(key).kernel.memory_mode == "cached"
+            requests = stored.backing_store.stats.block_requests
+            for query in ("ecc 7", "dist 3 150"):
+                answers, stats = engine.run(key, [query])
+                assert answers == scalar_answers(graph, [query])
+                assert stats.sweeps == 1
+            assert stored.backing_store.stats.block_requests == requests
+        finally:
+            stored.backing_store.close()

@@ -94,6 +94,16 @@ class TestTrialCleanliness:
         assert found, "no trial surfaced the injected fault"
         assert any("InvariantViolation" in d.message for d in found)
 
+    def test_lone_queries_catch_a_wrong_row(self):
+        # The mixed query batch never forms a one-source chunk; the
+        # trial's lone dist/ecc batches must still reach that path.
+        graph, _ = build_fuzz_graph(5, max_vertices=40)
+        with inject_fault("row-off-by-one"):
+            found = run_trial(graph, np.random.default_rng(5), metamorphic=False)
+        labels = {d.label for d in found}
+        assert "query/ecc" in labels, [str(d) for d in found]
+        assert not labels - {"query/dist", "query/ecc"}
+
     def test_reference_eccentricities(self):
         graph = from_edges([(0, 1), (1, 2)], name="p3")
         np.testing.assert_array_equal(
