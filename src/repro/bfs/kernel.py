@@ -585,9 +585,9 @@ class TraversalKernel:
         """Fold the store's decode counters into the workspace stats.
 
         The store's :class:`~repro.store.BlockCacheStats` are cumulative
-        over the store's whole lifetime (other kernels, the CLI, the
-        query engine may share it), so only the delta since this
-        kernel's last sync is charged here.
+        over the store's whole lifetime (other kernels and the CLI may
+        share it), so only the delta since this kernel's last sync is
+        charged here.
         """
         st = self._block_store.stats
         now = (

@@ -412,8 +412,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="per-graph decoded-adjacency budget for .scsr graphs "
-        "served via --mmap (block-decode routing; see repro --help)",
+        help="no effect: serving always reads the decoded CSR arrays; "
+        "removed once perfbench's serve-zipf stops passing it",
     )
     parser.add_argument(
         "--batch-lanes",
@@ -481,7 +481,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         store=store,
         config=config,
         byte_budget=args.resident_budget,
-        memory_budget=args.memory_budget,
         batch_lanes=args.batch_lanes,
         workers=args.workers,
     )

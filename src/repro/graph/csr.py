@@ -25,6 +25,7 @@ algorithm, engine, and benchmark repetition.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -214,6 +215,17 @@ class CSRGraph:
         if backing is not None:
             object.__setattr__(copy, "_backing", backing)
         return copy
+
+    def without_store(self) -> "CSRGraph":
+        """This graph, sharing every array, minus its :attr:`backing_store`.
+
+        Every traversal of the copy reads the decoded arrays.
+        """
+        if self.backing_store is None:
+            return self
+        clone = shallow_copy(self)
+        object.__delattr__(clone, "_backing")
+        return clone
 
     @property
     def backing_store(self):

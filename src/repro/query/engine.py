@@ -131,7 +131,7 @@ class _GraphEntry:
         "epoch",
     )
 
-    def __init__(self, graph, *, memory_budget: int | None = None):
+    def __init__(self, graph):
         #: The mutable handle when registered as a DynamicGraph
         #: (``None`` for static entries).
         self.dynamic: DynamicGraph | None = (
@@ -142,12 +142,14 @@ class _GraphEntry:
             DynamicDiameter(graph) if self.dynamic is not None else None
         )
         self.epoch = graph.epoch if self.dynamic is not None else 0
-        #: The immutable CSR every sweep runs on: the graph itself for
-        #: static entries, the current epoch's view for dynamic ones.
+        #: The immutable CSR every traversal runs on: the current
+        #: epoch's view for dynamic entries; for static ones the graph
+        #: minus any ``.scsr`` store, whose block image the kernel and
+        #: ``fdiam`` would otherwise decode for small level-capped waves.
         self.graph: CSRGraph = (
-            graph.view() if self.dynamic is not None else graph
+            graph.view() if self.dynamic is not None else graph.without_store()
         )
-        self.kernel = TraversalKernel(self.graph, memory_budget=memory_budget)
+        self.kernel = TraversalKernel(self.graph)
         #: Lazily built sweep executor (see QueryEngine._executor_for).
         self.executor = None
         #: source vertex -> int32 distance row, LRU-ordered.
@@ -156,7 +158,7 @@ class _GraphEntry:
         self.digest: str | None = None
         self.dirty = False  # memo rows not yet flushed to the store
 
-    def advance_epoch(self, *, memory_budget: int | None = None) -> None:
+    def advance_epoch(self) -> None:
         """Epoch-tagged invalidation after a mutation batch.
 
         Everything derived from the previous epoch's adjacency is
@@ -172,7 +174,7 @@ class _GraphEntry:
         if self.executor is not None:
             self.executor.close()
             self.executor = None
-        self.kernel = TraversalKernel(self.graph, memory_budget=memory_budget)
+        self.kernel = TraversalKernel(self.graph)
         self.memo.clear()
         self.diameter = None
         self.dirty = False
@@ -186,6 +188,10 @@ class _GraphEntry:
 @dataclass
 class QueryEngine:
     """Mixed distance/eccentricity/diameter batches over cached kernels.
+
+    Every traversal reads the graph's decoded CSR arrays. A mmap'd
+    ``.scsr`` graph holds them resident from load (DESIGN.md §14.1), so
+    serving takes no decoded-block budget.
 
     Parameters
     ----------
@@ -205,20 +211,12 @@ class QueryEngine:
         default) keeps every sweep in-process on the bitparallel
         backend; ``> 1`` lets the cost model dispatch batches to a
         shared-memory pool per registered graph.
-    memory_budget:
-        Byte budget for decoded adjacency scratch, applied to every
-        registered graph's kernel (and threaded into ``diam``
-        resolution runs). Only takes effect for graphs backed by a
-        block-compressed store (``.scsr`` loaded with ``mmap=True``);
-        see :class:`repro.core.config.FDiamConfig`. ``None`` means
-        unbounded.
     """
 
     store: object | None = None
     batch_lanes: int = 256
     memo_vectors: int = 64
     workers: int = 1
-    memory_budget: int | None = None
     _graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -228,8 +226,6 @@ class QueryEngine:
             raise AlgorithmError("memo_vectors must be >= 0")
         if self.workers < 1:
             raise AlgorithmError("workers must be >= 1")
-        if self.memory_budget is not None and self.memory_budget < 0:
-            raise AlgorithmError("memory_budget must be >= 0")
 
     # ------------------------------------------------------------------
     # Registry
@@ -246,7 +242,7 @@ class QueryEngine:
         so a sidecar from another epoch can never seed anything.
         """
         key = key if key is not None else graph.name
-        entry = _GraphEntry(graph, memory_budget=self.memory_budget)
+        entry = _GraphEntry(graph)
         if self.store is not None:
             entry.digest = (
                 graph.digest()
@@ -362,7 +358,7 @@ class QueryEngine:
             )
         batch = entry.dynamic.apply(inserts, deletes)
         if batch.mutated:
-            entry.advance_epoch(memory_budget=self.memory_budget)
+            entry.advance_epoch()
             if self.store is not None:
                 entry.digest = entry.dynamic.digest()
         return batch
@@ -392,8 +388,8 @@ class QueryEngine:
         still counts as one sweep; ``diam`` is
         answered from the entry's cached diameter when known (a
         previous batch, or the store's sidecar), else by one
-        :func:`repro.core.fdiam.fdiam` run whose traversals are
-        charged to the batch.
+        :func:`repro.core.fdiam.fdiam` run on the decoded arrays whose
+        traversals are charged to the batch.
         """
         entry = self._entry(key)
         n = entry.graph.num_vertices
@@ -479,23 +475,17 @@ class QueryEngine:
             stats.sweeps += repair.bfs_traversals
             stats.scalar_traversals += repair.bfs_traversals
             return int(entry.maintainer.diameter)
+        config = FDiamConfig(prep="auto")
         if self.store is not None:
             # Call-time import: repro.cache sits above the query layer's
             # other dependencies and imports prep/core.
             from repro.cache.runner import fdiam_cached
 
-            result, _ = fdiam_cached(
-                entry.graph,
-                FDiamConfig(prep="auto", memory_budget=self.memory_budget),
-                store=self.store,
-            )
+            result, _ = fdiam_cached(entry.graph, config, store=self.store)
         else:
             from repro.core.fdiam import fdiam
 
-            result = fdiam(
-                entry.graph,
-                FDiamConfig(prep="auto", memory_budget=self.memory_budget),
-            )
+            result = fdiam(entry.graph, config)
         stats.sweeps += result.stats.bfs_traversals
         stats.scalar_traversals += result.stats.bfs_traversals
         stats.edges_examined += result.stats.edges_examined

@@ -18,8 +18,8 @@ Layers (DESIGN.md §15):
   admission control; each batch job opens its own graph right before
   it runs, so residency needs no pins.
 * :class:`~repro.service.registry.GraphRegistry` — multi-graph
-  residency under a byte budget with LRU eviction, composing with the
-  out-of-core memory-mode routing for graphs bigger than the budget.
+  residency under a byte budget with LRU eviction; a resident graph's
+  queries run on its decoded CSR arrays.
 * :class:`~repro.service.server.QueryService` — the HTTP front end
   (``POST /query``, ``GET /stats``, ``GET /graphs``, ``GET /healthz``)
   and lifecycle owner.

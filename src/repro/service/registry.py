@@ -10,14 +10,10 @@ walks. A mutated :class:`~repro.dynamic.DynamicGraph` also holds its
 merged view, a second CSR the engine traverses, so residency is
 measured from the live graphs every time the budget is applied.
 
-Interplay with the memory-mode routing: the budget here evicts *whole
-graphs*; a graph whose decoded size alone exceeds the engine's
-``memory_budget`` still opens fine when backed by a mmap'd ``.scsr``
-image — the kernel's cost model routes its gathers through the
-block-decode path (DESIGN.md §14), so a cold or oversized graph costs
-wall time, never an OOM. The two budgets compose: ``byte_budget``
-bounds how many graphs stay hot, ``memory_budget`` bounds the scratch
-each one may decode.
+The budget here evicts *whole graphs*. A resident graph, ``.scsr``
+included, holds its decoded arrays, and every query on it traverses
+those (DESIGN.md §14.1); no second, per-graph budget routes serving
+through the block-decode path.
 
 Threading contract: :meth:`ensure`, :meth:`evict`, and :meth:`close`
 run on the scheduler's single dispatch thread (the same thread that

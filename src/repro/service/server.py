@@ -98,7 +98,6 @@ class QueryService:
         store=None,
         config: SchedulerConfig | None = None,
         byte_budget: int | None = None,
-        memory_budget: int | None = None,
         batch_lanes: int = 256,
         workers: int = 1,
         memo_vectors: int = 64,
@@ -109,7 +108,6 @@ class QueryService:
             batch_lanes=batch_lanes,
             memo_vectors=memo_vectors,
             workers=workers,
-            memory_budget=memory_budget,
         )
         self.registry = GraphRegistry(self.engine, byte_budget=byte_budget)
         self.stats = ServiceStats()

@@ -156,6 +156,16 @@ class TestServeCLI:
         assert args.batch_limit == 256
         assert args.max_pending == 1024
 
+    def test_memory_budget_still_parses(self):
+        # The serve benchmark's command line still passes the inert flag.
+        from repro.cli import build_serve_parser
+
+        args = build_serve_parser().parse_args(
+            ["g=path", "--memory-budget", "17467"]
+        )
+        assert args.graphs == ["g=path"]
+        assert args.memory_budget == 17467
+
     def test_missing_graph_file(self, capsys):
         assert main(["serve", "/nonexistent/g.npz"]) == 2
         assert "not found" in capsys.readouterr().err

@@ -278,22 +278,30 @@ class TestStoreIntegration:
         assert engine.flush() == 0
 
 
-class TestLoneSourceUnderMemoryBudget:
-    def test_cached_mode_row_reads_the_decoded_arrays(self, graph, tmp_path):
-        # A one-query batch runs the scalar hybrid BFS on the decoded
-        # indices; the block path of kernel.bfs would decode blocks.
+class TestServedScsrReadsDecodedArrays:
+    def test_every_query_reads_the_decoded_arrays(self, graph, tmp_path):
+        # load_scsr(mmap=True) keeps the full decoded CSR resident, and
+        # the engine serves diam, lone rows and lane pages from it: no
+        # query may fall back to decoding the store's blocks.
         save_scsr(graph, tmp_path / "g.scsr")
         stored = load_scsr(tmp_path / "g.scsr", mmap=True)
         try:
-            decoded = stored.indptr.nbytes + stored.indices.nbytes
-            engine = QueryEngine(memory_budget=decoded // 4)
+            engine = QueryEngine()
             key = engine.add_graph(stored)
-            assert engine._entry(key).kernel.memory_mode == "cached"
+            served = engine._entry(key).graph
+            assert served.backing_store is None
+            assert served.indices is stored.indices
+            assert stored.backing_store is not None
             requests = stored.backing_store.stats.block_requests
+            answers, _ = engine.run(key, ["diam"])
+            assert answers == scalar_answers(graph, ["diam"])
             for query in ("ecc 7", "dist 3 150"):
                 answers, stats = engine.run(key, [query])
                 assert answers == scalar_answers(graph, [query])
                 assert stats.sweeps == 1
+            page = ["ecc 11", "dist 40 120", "ecc 199", "dist 150 3", "diam"]
+            answers, _ = engine.run(key, page)
+            assert answers == scalar_answers(graph, page)
             assert stored.backing_store.stats.block_requests == requests
         finally:
             stored.backing_store.close()
