@@ -14,9 +14,7 @@ declarative table of ``(name, graphs, stage, check, bound)`` rows:
 
 Records hold counts only — BFS traversals, edges examined, gather
 passes, bytes, exact answers. Wall clock and memory are measured by
-``perfbench/`` (the one exception is ``powerlaw-10M/fdiam_budgeted``,
-whose in-stage routing check times the cost model's memory-mode choice
-against the forced alternative).
+``perfbench/``.
 
 Usage::
 
@@ -33,7 +31,6 @@ import operator
 import platform
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,7 +47,6 @@ from repro.core.fdiam import fdiam  # noqa: E402
 from repro.bfs.kernel import TraversalKernel  # noqa: E402
 from repro.graph.io import save_npz  # noqa: E402
 from repro.harness.workloads import get_workload  # noqa: E402
-from repro.parallel.costmodel import LevelSynchronousCostModel  # noqa: E402
 from repro.parallel.scaling import ScalingStudy  # noqa: E402
 from repro.prep.reorder import ORDER_STRATEGIES, apply_order  # noqa: E402
 from repro.query import QueryEngine  # noqa: E402
@@ -62,14 +58,12 @@ SCHEMA_VERSION = 2
 #: analog — the two topology regimes the paper contrasts throughout §6.
 FULL_GRAPHS = ("internet", "USA-road-d.NY")
 SMOKE_GRAPHS = ("internet",)
-#: The million-vertex road analog the store and out-of-core gates use.
+#: The million-vertex road analog the store gate uses.
 ROAD_1M = ("road-1M",)
 
-#: The 10^7-edge out-of-core tier: pinned chunk size for the streaming
-#: encoder and pinned budget points for the budgeted-execution battery.
+#: The 10^7-edge tier and the pinned chunk size of its streaming encoder.
 SCALE_GRAPHS = ("road-10M", "powerlaw-10M")
 SCALE_CHUNK_EDGES = 1 << 20
-SCALE_BATTERY_SOURCES = 3
 
 #: The command that rewrites the committed baseline after an intended
 #: change to a result or count.
@@ -274,49 +268,6 @@ def _stage_fdiam_scsr(graph):
     }
 
 
-def _stage_fdiam_out_of_core(graph):
-    """The graph solved in memory, then off a budgeted block store.
-
-    The graph is BFS-reordered (the locality pass every out-of-core
-    pipeline runs before writing a block store), saved with the
-    streaming encoder, and re-solved against the mapped image with the
-    block cache capped at 1/8 of the image — far below the decoded size,
-    so the kernel runs in a budget mode end to end. ``mode`` is the cost
-    model's pick for that budget and ``resident_bytes`` what the block
-    cache held at the end.
-    """
-    memory = fdiam(graph, FDiamConfig(prep="auto"))
-    ordered = apply_order(
-        graph, ORDER_STRATEGIES["bfs"](graph), name=graph.name
-    ).graph
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.scsr"
-        info = save_scsr(
-            ordered, path, chunk_edges=SCALE_CHUNK_EDGES,
-            provenance="reorder=bfs",
-        )
-        budget = info.nbytes // 8
-        loaded = load_scsr(path, mmap=True)
-        try:
-            res = fdiam(loaded, FDiamConfig(prep="auto", memory_budget=budget))
-            mode, _ = LevelSynchronousCostModel().choose_memory_mode(
-                decoded_bytes=loaded.indptr.nbytes + loaded.indices.nbytes,
-                budget_bytes=budget,
-            )
-            resident = loaded.backing_store.cache_resident_bytes
-        finally:
-            loaded.backing_store.close()
-    return {
-        "scsr_bytes": info.nbytes,
-        "budget_bytes": budget,
-        "mode": mode,
-        "bfs_count": res.stats.bfs_traversals,
-        "diameter": res.diameter,
-        "memory_diameter": memory.diameter,
-        "resident_bytes": resident,
-    }
-
-
 def _stage_sumsweep(graph):
     res = sumsweep_diameter(graph)
     return {"bfs_count": res.bfs_traversals, "diameter": res.diameter}
@@ -420,118 +371,6 @@ def _stage_store_stream_encode(graph):
     }
 
 
-def _stage_fdiam_budgeted(graph):
-    """Memory-budgeted traversal battery on a 10^7-edge analog.
-
-    A full budget-mode ``fdiam`` at this scale is wall-prohibitive
-    (hundreds of budgeted sweeps), so the stage measures what the
-    budget actually changes — the kernel's gather path — with a pinned
-    eccentricity battery (the unit fdiam repeats ~100x): the same
-    sources run in-memory and then against the mapped store at three
-    budget points spanning the routing regimes. Every run must report
-    bit-identical eccentricities; at the extreme budgets the forced
-    alternative mode is also timed and the cost model's choice must be
-    the fastest measured (15% headroom absorbs timer noise).
-    """
-    sources = [
-        (k * graph.num_vertices) // SCALE_BATTERY_SOURCES
-        for k in range(SCALE_BATTERY_SOURCES)
-    ]
-
-    def battery(kernel):
-        t0 = time.perf_counter()
-        eccs = [kernel.bfs(s).eccentricity for s in sources]
-        return time.perf_counter() - t0, eccs
-
-    wall_memory, eccs_memory = battery(TraversalKernel(graph))
-    out = {
-        "battery_sources": sources,
-        "eccentricity": max(eccs_memory),
-        "wall_memory_s": wall_memory,
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.scsr"
-        save_scsr(graph, path, chunk_edges=SCALE_CHUNK_EDGES)
-        probe = load_scsr(path, mmap=True)
-        decoded = probe.indptr.nbytes + probe.indices.nbytes
-        probe.backing_store.close()
-        out["decoded_bytes"] = decoded
-        out["decoded_bytes_per_edge"] = round(
-            decoded / max(graph.num_edges, 1), 3
-        )
-        points = (
-            ("ample", 4 * decoded),
-            ("quarter", decoded // 4),
-            ("floor", 1 << 16),
-        )
-        model = LevelSynchronousCostModel()
-        for label, budget in points:
-            mode, reason = model.choose_memory_mode(
-                decoded_bytes=decoded, budget_bytes=budget
-            )
-            # Fresh mapping per point: no cache or counter carry-over.
-            loaded = load_scsr(path, mmap=True)
-            try:
-                kernel = TraversalKernel(loaded, memory_budget=budget)
-                if kernel.memory_mode != mode:
-                    raise AssertionError(
-                        f"{graph.name}: kernel resolved "
-                        f"{kernel.memory_mode!r} at budget {budget:,} B, "
-                        f"cost model chose {mode!r}"
-                    )
-                wall, eccs = battery(kernel)
-                stats = loaded.backing_store.stats
-                out[f"budget_{label}_bytes"] = budget
-                out[f"budget_{label}_mode"] = mode
-                out[f"budget_{label}_mode_reason"] = reason
-                out[f"budget_{label}_wall_s"] = wall
-                out[f"budget_{label}_wall_ratio_vs_memory"] = round(
-                    wall / max(wall_memory, 1e-9), 3
-                )
-                out[f"budget_{label}_thrash_rate"] = round(
-                    stats.thrash_rate, 4
-                )
-                out[f"budget_{label}_decode_mb_s"] = round(
-                    stats.decode_bandwidth / 2**20, 1
-                )
-                if eccs != eccs_memory:
-                    raise AssertionError(
-                        f"{graph.name}: budget {budget:,} B ({mode}) "
-                        f"eccentricities {eccs} != in-memory {eccs_memory}"
-                    )
-                # Extreme budgets: force the block mode the model did
-                # NOT choose, so its pick is checked against a measured
-                # alternative (decode's superiority needs no contest).
-                if label in ("ample", "floor"):
-                    alt = "stream" if mode == "cached" else "cached"
-                    forced = load_scsr(path, mmap=True)
-                    try:
-                        fkernel = TraversalKernel(
-                            forced,
-                            memory_budget=budget,
-                            memory_mode=alt,
-                        )
-                        fwall, feccs = battery(fkernel)
-                    finally:
-                        forced.backing_store.close()
-                    if feccs != eccs_memory:
-                        raise AssertionError(
-                            f"{graph.name}: forced {alt} at budget "
-                            f"{budget:,} B diverged: {feccs}"
-                        )
-                    out[f"budget_{label}_forced_{alt}_wall_s"] = fwall
-                    if wall > fwall * 1.15:
-                        raise AssertionError(
-                            f"{graph.name}: cost model chose {mode!r} at "
-                            f"budget {budget:,} B but forced {alt} ran "
-                            f"{fwall:.2f}s vs {wall:.2f}s"
-                        )
-            finally:
-                loaded.backing_store.close()
-    out["wall_s"] = out["budget_quarter_wall_s"]
-    return out
-
-
 #: Every stage: ``fn(graph) -> record``.
 STAGES = {
     "bfs_hybrid": _stage_bfs_hybrid,
@@ -547,25 +386,16 @@ STAGES = {
     "store_compress": _stage_store_compress,
     "fdiam_scsr": _stage_fdiam_scsr,
     "dynamic_churn": _stage_dynamic_churn,
-    "fdiam_out_of_core": _stage_fdiam_out_of_core,
     "store_stream_encode": _stage_store_stream_encode,
-    "fdiam_budgeted": _stage_fdiam_budgeted,
 }
 
 #: The stages the suite runs on each of its graphs (``--smoke`` drops the
-#: scalar references), and on each 10^7-edge analog of a full run (the
-#: budgeted battery only on the small-diameter one: road's ~1300-level
-#: sweeps would measure Python level overhead, not the memory modes).
-#: ``fdiam_out_of_core`` runs only for its gate.
-SUITE_STAGES = tuple(
-    s for s in STAGES
-    if s not in ("fdiam_out_of_core", "store_stream_encode", "fdiam_budgeted")
-)
+#: scalar references), and on each 10^7-edge analog of a full run.
+SUITE_STAGES = tuple(s for s in STAGES if s != "store_stream_encode")
 SMOKE_SKIPS = ("spectrum_scalar", "sumsweep_scalar")
 SCALE_PLAN = (
     ("road-10M", "store_stream_encode"),
     ("powerlaw-10M", "store_stream_encode"),
-    ("powerlaw-10M", "fdiam_budgeted"),
 )
 
 
@@ -611,13 +441,6 @@ GATES = (
     # Compressed store: the BFS-reordered image of the million-vertex
     # road analog is at least 3x smaller than an uncompressed .npz.
     Gate("bytes-per-edge", ROAD_1M, "store_compress", "ratio_vs_npz_reordered", (">=", 3.0)),
-    # Budgeted execution: a budget mode, the in-memory diameter, and a
-    # block cache that never held more than 2x its cap (a block bigger
-    # than the whole budget must stay servable).
-    Gate("out-of-core", ROAD_1M, "fdiam_out_of_core", "mode", ("in", ("cached", "stream"))),
-    Gate("out-of-core", ROAD_1M, "fdiam_out_of_core", "diameter", ("==", Field("memory_diameter"))),
-    Gate("out-of-core", ROAD_1M, "fdiam_out_of_core",
-         "resident_bytes", ("<=", Field("budget_bytes", 2))),
     # Coalescing service: every answer matches the serial oracle on both
     # analogs, and batching replaces >= 4 queries / scalar gather passes
     # per dispatch on the small-diameter one.
@@ -650,7 +473,6 @@ _OPS = {
     "<": operator.lt,
     "<=": operator.le,
     ">=": operator.ge,
-    "in": lambda value, allowed: value in allowed,
 }
 
 

@@ -50,7 +50,7 @@ from repro.bfs.bitparallel import LaneSweep, lane_distances, lane_sweep
 from repro.bfs.bottomup import bottomup_step
 from repro.bfs.frontier import DEFAULT_THRESHOLD, compact_unique
 from repro.bfs.instrumentation import BFSTrace, Direction
-from repro.bfs.topdown import topdown_step, topdown_step_blocks
+from repro.bfs.topdown import topdown_step
 from repro.bfs.visited import VisitMarks
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.graph.csr import CSRGraph
@@ -132,16 +132,6 @@ class WorkspaceStats:
     per round), ``shm_resident`` is what is mapped right now, and
     ``shm_bytes`` is the high-water mark — the shm analog of
     ``peak_scratch_bytes``.
-
-    The compressed-store gather path mirrors the lane counters: when a
-    kernel routes expansions through per-block decoding
-    (:func:`repro.bfs.topdown.topdown_step_blocks`),
-    ``store_block_requests`` / ``store_block_hits`` count the block
-    LRU-cache traffic those expansions generated,
-    ``store_blocks_decoded`` / ``store_decoded_bytes`` the varint work
-    actually done, and ``store_block_evictions`` the cache pressure —
-    synced from the store's own :class:`~repro.store.BlockCacheStats`
-    after every block-path expansion.
     """
 
     buffer_requests: int = 0
@@ -157,13 +147,6 @@ class WorkspaceStats:
     shm_segments: int = 0
     shm_bytes: int = 0
     shm_resident: int = 0
-    store_block_requests: int = 0
-    store_block_hits: int = 0
-    store_blocks_decoded: int = 0
-    store_decoded_bytes: int = 0
-    store_block_evictions: int = 0
-    store_redecoded_blocks: int = 0
-    store_decode_seconds: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -178,13 +161,6 @@ class WorkspaceStats:
         if self.lane_requests == 0:
             return 0.0
         return self.lane_reuses / self.lane_requests
-
-    @property
-    def store_block_hit_rate(self) -> float:
-        """Fraction of store block requests served without a decode."""
-        if self.store_block_requests == 0:
-            return 0.0
-        return self.store_block_hits / self.store_block_requests
 
     def _record_alloc(self, nbytes: int) -> None:
         self.allocated_bytes += nbytes
@@ -423,6 +399,10 @@ class Workspace:
 class TraversalKernel:
     """Graph-bound traversal facade with a pooled :class:`Workspace`.
 
+    Every expansion gathers from the graph's decoded ``indptr`` /
+    ``indices``; a ``.scsr`` graph's
+    :attr:`~repro.graph.csr.CSRGraph.backing_store` is never read here.
+
     Parameters
     ----------
     graph:
@@ -445,32 +425,6 @@ class TraversalKernel:
         :class:`~repro.errors.BenchmarkTimeout`, so even one huge
         traversal (2-sweep, Winnow, Extend) aborts within a level of
         the budget expiring.
-    memory_budget:
-        Optional byte cap on decoded-block scratch for store-backed
-        graphs. With ``memory_mode="auto"`` the cost model's
-        :meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_memory_mode`
-        resolves it to one of the execution modes below; without a
-        backing store the budget is trivially satisfied (the decoded
-        arrays already exist) and the kernel stays on ``"decode"``.
-    memory_mode:
-        Memory-pressure execution mode; ``"auto"`` (default) derives it
-        from ``memory_budget``. Resolved values: ``"decode"`` — use
-        the decoded arrays, except that on a graph carrying an open
-        :class:`~repro.store.CompressedCSR` (``.scsr`` loaded with
-        ``mmap=True``) each :meth:`levels` expansion asks
-        :meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_gather_path`
-        whether to decode just its frontier's blocks (level-capped
-        waves expected to touch only a sliver of the graph);
-        ``"cached"`` — route *every* :meth:`bfs` and :meth:`levels`
-        expansion through the store's block cache, byte-capped at the
-        budget (lane sweeps and :meth:`distance_batch` rows read the
-        decoded arrays); ``"stream"`` —
-        ditto, but decoded blocks are never retained, so decoded
-        scratch is bounded by one frontier's blocks. Forcing
-        ``"cached"`` / ``"stream"`` requires a store-backed graph. All
-        modes produce bit-identical traversal results; only
-        ``edges_examined`` accounting may differ (budget modes never
-        run bottom-up steps).
     """
 
     __slots__ = (
@@ -480,10 +434,6 @@ class TraversalKernel:
         "directions",
         "workspace",
         "deadline",
-        "memory_budget",
-        "memory_mode",
-        "_block_store",
-        "_store_mark",
     )
 
     def __init__(
@@ -495,8 +445,6 @@ class TraversalKernel:
         directions: bool = True,
         workspace: Workspace | None = None,
         deadline: float | None = None,
-        memory_budget: int | None = None,
-        memory_mode: str = "auto",
     ):
         self.graph = graph
         if engine not in get_args(Engine):
@@ -513,101 +461,6 @@ class TraversalKernel:
                 f"{self.workspace.num_vertices} != {graph.num_vertices}"
             )
         self.deadline = deadline
-        self._block_store = graph.backing_store
-        if memory_mode not in ("auto", "decode", "cached", "stream"):
-            raise AlgorithmError(
-                f"memory_mode must be 'auto', 'decode', 'cached', or "
-                f"'stream', got {memory_mode!r}"
-            )
-        if memory_budget is not None and memory_budget < 0:
-            raise AlgorithmError(
-                f"memory_budget must be >= 0, got {memory_budget}"
-            )
-        self.memory_budget = memory_budget
-        if memory_mode == "auto":
-            if memory_budget is None or self._block_store is None:
-                resolved = "decode"
-            else:
-                from repro.parallel.costmodel import LevelSynchronousCostModel
-
-                decoded = graph.indptr.nbytes + graph.indices.nbytes
-                resolved, _ = LevelSynchronousCostModel().choose_memory_mode(
-                    decoded_bytes=decoded, budget_bytes=memory_budget
-                )
-        else:
-            resolved = memory_mode
-            if resolved in ("cached", "stream") and self._block_store is None:
-                raise AlgorithmError(
-                    f"memory_mode {resolved!r} requires a store-backed "
-                    "graph (a .scsr loaded with mmap=True)"
-                )
-        self.memory_mode = resolved
-        if (
-            resolved == "cached"
-            and memory_budget is not None
-            and self._block_store is not None
-        ):
-            self._block_store.set_cache_budget(memory_budget)
-        if self._block_store is not None:
-            st = self._block_store.stats
-            self._store_mark = (
-                st.block_requests,
-                st.block_hits,
-                st.blocks_decoded,
-                st.decoded_bytes,
-                st.evictions,
-                st.redecoded_blocks,
-                st.decode_seconds,
-            )
-        else:
-            self._store_mark = (0, 0, 0, 0, 0, 0, 0.0)
-
-    # ------------------------------------------------------------------
-    # Compressed-store gather path
-    # ------------------------------------------------------------------
-    def _use_block_gather(
-        self, num_sources: int, max_level: int | None
-    ) -> bool:
-        """Whether this :meth:`levels` expansion should decode blocks."""
-        if self._block_store is None:
-            return False
-        from repro.parallel.costmodel import LevelSynchronousCostModel
-
-        path, _ = LevelSynchronousCostModel().choose_gather_path(
-            num_sources=num_sources,
-            max_level=max_level,
-            num_vertices=self.graph.num_vertices,
-            num_directed_edges=self.graph.num_directed_edges,
-        )
-        return path == "blocks"
-
-    def _sync_store_stats(self) -> None:
-        """Fold the store's decode counters into the workspace stats.
-
-        The store's :class:`~repro.store.BlockCacheStats` are cumulative
-        over the store's whole lifetime (other kernels and the CLI may
-        share it), so only the delta since this kernel's last sync is
-        charged here.
-        """
-        st = self._block_store.stats
-        now = (
-            st.block_requests,
-            st.block_hits,
-            st.blocks_decoded,
-            st.decoded_bytes,
-            st.evictions,
-            st.redecoded_blocks,
-            st.decode_seconds,
-        )
-        mark, self._store_mark = self._store_mark, now
-        ws = self.workspace.stats
-        ws.store_block_requests += now[0] - mark[0]
-        ws.store_block_hits += now[1] - mark[1]
-        ws.store_blocks_decoded += now[2] - mark[2]
-        ws.store_decoded_bytes += now[3] - mark[3]
-        ws.store_block_evictions += now[4] - mark[4]
-        ws.store_redecoded_blocks += now[5] - mark[5]
-        ws.store_decode_seconds += now[6] - mark[6]
 
     # ------------------------------------------------------------------
     # Deadline
@@ -656,14 +509,8 @@ class TraversalKernel:
         max_level: int | None,
         record_dist: bool,
         record_trace: bool,
-        decoded: bool = False,
     ) -> BFSResult:
-        """Direction-optimized BFS (the paper's Algorithm 2 / §4.6).
-
-        ``decoded`` reads the decoded ``indices`` under every memory
-        mode, as lane sweeps do, instead of the budget modes' block
-        path.
-        """
+        """Direction-optimized BFS (the paper's Algorithm 2 / §4.6)."""
         graph, ws = self.graph, self.workspace
         n = graph.num_vertices
         if not 0 <= source < n:
@@ -682,25 +529,13 @@ class TraversalKernel:
         visited = 1
         level = 0
         last_nonempty = frontier
-        # Memory-budgeted modes route every expansion through the
-        # store's block path unless ``decoded`` (bottom-up needs the
-        # full decoded indices, so it is disabled under pressure — the
-        # next frontier is identical either way, only the arc
-        # accounting differs).
-        use_blocks = not decoded and self.memory_mode in ("cached", "stream")
-        retain = self.memory_mode != "stream"
 
         while len(frontier):
             if max_level is not None and level >= max_level:
                 break
             self.check_deadline()
             level += 1
-            if use_blocks:
-                next_frontier, edges = topdown_step_blocks(
-                    self._block_store, frontier, marks, pool=ws, retain=retain
-                )
-                direction = Direction.TOP_DOWN
-            elif self.directions and len(frontier) > size_threshold:
+            if self.directions and len(frontier) > size_threshold:
                 flag = ws.frontier_flag()
                 flag[:] = False
                 flag[frontier] = True
@@ -726,8 +561,6 @@ class TraversalKernel:
             last_nonempty = next_frontier
             frontier = next_frontier
 
-        if use_blocks:
-            self._sync_store_stats()
         return BFSResult(
             source=source,
             eccentricity=level,
@@ -805,9 +638,6 @@ class TraversalKernel:
         if mark_sources:
             marks.visit(sources)
 
-        budgeted = self.memory_mode in ("cached", "stream")
-        use_blocks = budgeted or self._use_block_gather(len(sources), max_level)
-        retain = self.memory_mode != "stream"
         levels: list[np.ndarray] = []
         frontier = sources
         level = 0
@@ -815,18 +645,9 @@ class TraversalKernel:
             if max_level is not None and level >= max_level:
                 break
             self.check_deadline()
-            if use_blocks:
-                next_frontier, edges = topdown_step_blocks(
-                    self._block_store,
-                    frontier,
-                    marks,
-                    pool=self.workspace,
-                    retain=retain,
-                )
-            else:
-                next_frontier, edges = topdown_step(
-                    self.graph, frontier, marks, pool=self.workspace
-                )
+            next_frontier, edges = topdown_step(
+                self.graph, frontier, marks, pool=self.workspace
+            )
             self.workspace.stats.edges_examined += edges
             if len(next_frontier) == 0:
                 break
@@ -835,8 +656,6 @@ class TraversalKernel:
             level += 1
             if on_level is not None and on_level(level, next_frontier) is False:
                 break
-        if use_blocks:
-            self._sync_store_stats()
         return levels
 
     def levels_batched64(
@@ -925,9 +744,8 @@ class TraversalKernel:
     def _lone_row(self, source: int) -> tuple[np.ndarray, LaneSweep]:
         """One source's ``(1, n)`` distance row by the hybrid BFS.
 
-        Reads the decoded ``indices`` under every memory mode, as lane
-        sweeps do. The row is reported as a one-lane sweep, so callers
-        count it the same way.
+        The row is reported as a one-lane sweep, so callers count it the
+        same way.
         """
         stats = self.workspace.stats
         edges_before = stats.edges_examined
@@ -936,7 +754,6 @@ class TraversalKernel:
             max_level=None,
             record_dist=True,
             record_trace=False,
-            decoded=True,
         )
         row = result.dist.astype(np.int32)[None, :]
         self.workspace.release_dist(result.dist)
@@ -1032,7 +849,6 @@ class TraversalKernel:
             batch_lanes=batch_lanes,
             backend=backend,
             kernel=self,
-            memory_budget=self.memory_budget,
         )
 
     # ------------------------------------------------------------------

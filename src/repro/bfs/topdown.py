@@ -22,7 +22,7 @@ from repro.bfs.frontier import compact_unique, gather_neighbors
 from repro.bfs.visited import VisitMarks
 from repro.graph.csr import CSRGraph
 
-__all__ = ["topdown_step", "topdown_step_blocks"]
+__all__ = ["topdown_step"]
 
 
 def topdown_step(
@@ -67,36 +67,3 @@ def topdown_step(
     marks.visit(next_frontier)
     return next_frontier, edges_examined
 
-
-def topdown_step_blocks(
-    store,
-    frontier: np.ndarray,
-    marks: VisitMarks,
-    *,
-    pool=None,
-    retain: bool = True,
-) -> tuple[np.ndarray, int]:
-    """Expand one BFS level top-down from a compressed store.
-
-    The block-decoding twin of :func:`topdown_step`: instead of slicing
-    the decoded ``indices`` array, the frontier's neighbour lists come
-    from ``store.gather_rows`` (a duck-typed
-    :class:`~repro.store.CompressedCSR`), which varint-decodes only the
-    vertex blocks the frontier actually touches and serves repeats from
-    its LRU block cache. Produces the exact same next frontier and arc
-    count as the in-memory step — the equivalence tests cross-check the
-    two — so the kernel can switch per expansion on the cost model's
-    verdict without changing any result. ``retain=False`` is the
-    memory-budgeted streaming mode: decoded blocks serve this level
-    only and never enter the store's cache.
-    """
-    neigh, _ = store.gather_rows(frontier, pool=pool, retain=retain)
-    edges_examined = len(neigh)
-    if edges_examined == 0:
-        return np.empty(0, dtype=np.int64), 0
-    fresh = neigh[marks.marks[neigh] != marks.counter]
-    if len(fresh) == 0:
-        return np.empty(0, dtype=np.int64), edges_examined
-    next_frontier = compact_unique(fresh, store.num_vertices, pool=pool)
-    marks.visit(next_frontier)
-    return next_frontier, edges_examined

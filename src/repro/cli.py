@@ -137,19 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="memory-map the graph file instead of reading it into memory: "
         ".npz maps the raw arrays (uncompressed archives only), .scsr "
-        "maps the compressed image and keeps it attached for block-"
-        "decoding gathers and compressed-image process sharing",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="byte budget for decoded adjacency scratch on .scsr graphs "
-        "loaded with --mmap: under pressure the traversal routes every "
-        "expansion through block decoding with the store's cache capped "
-        "at this size (the answer is bit-identical; only wall time and "
-        "resident bytes change). Default: unbounded",
+        "decodes in full and keeps the compressed image mapped for "
+        "sharing with worker processes",
     )
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
@@ -774,9 +763,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.memory_budget is not None and args.memory_budget < 0:
-        print("error: --memory-budget must be >= 0", file=sys.stderr)
-        return 2
     try:
         graph = read_graph(args.graph, mmap=args.mmap)
     except (ReproError, OSError) as exc:
@@ -796,7 +782,6 @@ def main(argv: list[str] | None = None) -> int:
         use_chain=not args.no_chain,
         use_max_degree_start=not args.start_vertex_zero,
         prep=args.prep,
-        memory_budget=args.memory_budget,
     )
     store = None
     cache_info = None
@@ -900,27 +885,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"shm segments   : {ws.shm_segments} created "
                       f"(peak {format_bytes(ws.shm_bytes)}, "
                       f"{format_bytes(ws.shm_resident)} still attached)")
-            if ws.store_block_requests:
-                print(f"store blocks   : {ws.store_block_hits}/"
-                      f"{ws.store_block_requests} requests "
-                      f"({100 * ws.store_block_hit_rate:.1f}% cache hit "
-                      f"rate), {ws.store_blocks_decoded:,} decoded "
-                      f"({format_bytes(ws.store_decoded_bytes)}, "
-                      f"{ws.store_block_evictions:,} evictions)")
-                if ws.store_blocks_decoded:
-                    thrash = (
-                        ws.store_redecoded_blocks / ws.store_blocks_decoded
-                    )
-                    bandwidth = (
-                        ws.store_decoded_bytes / ws.store_decode_seconds
-                        if ws.store_decode_seconds > 0
-                        else 0.0
-                    )
-                    print(f"store decode   : "
-                          f"{ws.store_redecoded_blocks:,} re-decodes "
-                          f"({100 * thrash:.1f}% thrash), "
-                          f"{format_bytes(int(bandwidth))}/s decode "
-                          "bandwidth")
 
     if args.spectrum:
         if store is not None:

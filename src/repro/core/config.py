@@ -68,19 +68,6 @@ class FDiamConfig:
         picks stages explicitly — see
         :class:`repro.prep.plan.PrepSpec`. Exactness-preserving: the
         returned diameter is identical with any value.
-    memory_budget:
-        Byte budget for decoded adjacency scratch when the graph is
-        backed by a block-compressed ``.scsr`` store (loaded with
-        ``mmap=True``). ``None`` (the default) means unbounded: the
-        kernel traverses the fully decoded CSR. With a budget, the
-        traversal kernel asks the cost model's memory-pressure verdict
-        (:meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_memory_mode`)
-        whether the decoded image fits; under pressure it routes every
-        expansion through per-block decoding with the store's block
-        cache capped at this many bytes (or pure streaming decode when
-        even a useful cache does not fit; ``0`` always streams).
-        Exactness-preserving: the diameter and eccentricities are
-        bit-identical with any value.
     ecc_lanes:
         How the run evaluates eccentricities. ``"off"`` is the paper's
         algorithm: one BFS per still-active vertex, each seeing every
@@ -119,7 +106,6 @@ class FDiamConfig:
     directions: bool = True
     keep_traces: bool = False
     prep: str = "off"
-    memory_budget: int | None = None
     ecc_lanes: EccLanes = "auto"
     verify: bool = False
 

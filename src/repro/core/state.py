@@ -91,7 +91,6 @@ class FDiamState:
             threshold=config.threshold,
             directions=config.directions,
             deadline=deadline,
-            memory_budget=config.memory_budget,
         )
         #: Shared visit counter (the paper's ``counter`` parameter) —
         #: an alias of the kernel workspace's marks.

@@ -251,9 +251,8 @@ SCALE_ANALOGS: dict[str, AnalogSpec] = {
     # The 10^7-edge out-of-core tier (ISSUE 8): both analogs are grown
     # through the chunked generators + from_edge_chunks, so generation
     # never materializes more than O(chunk) COO edges — the whole point
-    # of the tier is exercising the streaming encoder and the
-    # memory-budgeted traversal at a scale where the decoded CSR is
-    # hundreds of megabytes. ``chunk_edges``/``band_rows`` are part of
+    # of the tier is exercising the streaming encoder at a scale where
+    # the decoded CSR is hundreds of megabytes. ``chunk_edges``/``band_rows`` are part of
     # each graph's definition and must stay pinned with the seed.
     "road-10M": _spec(
         "road-10M (scale tier)", "road map", 8_400_000, 0,

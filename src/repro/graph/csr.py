@@ -219,7 +219,10 @@ class CSRGraph:
     def without_store(self) -> "CSRGraph":
         """This graph, sharing every array, minus its :attr:`backing_store`.
 
-        Every traversal of the copy reads the decoded arrays.
+        A multiprocess pool over the copy shares these decoded arrays
+        with its workers instead of shipping the compressed image for
+        each worker to decode a private copy (see
+        :class:`~repro.parallel.shm.SharedCSR`).
         """
         if self.backing_store is None:
             return self
@@ -234,10 +237,10 @@ class CSRGraph:
         ``.scsr`` loads with ``mmap=True`` attach their
         :class:`~repro.store.CompressedCSR` here (via
         ``object.__setattr__`` — derived state, like the adjacency-list
-        cache) so the traversal kernel can route partial expansions
-        through per-block decoding and the multiprocess pool can ship
-        the compressed image instead of the decoded arrays. ``None``
-        for every other graph.
+        cache) so the multiprocess pool can ship the compressed image
+        instead of the decoded arrays. Traversals never read it: every
+        expansion gathers from the decoded ``indptr`` / ``indices``.
+        ``None`` for every other graph.
         """
         return getattr(self, "_backing", None)
 

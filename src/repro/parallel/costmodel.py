@@ -122,7 +122,7 @@ class CostModelParams:
     process_overhead_s: float = 5e-3
     #: Largest fraction of the graph a level-capped expansion may be
     #: expected to touch for the block-decoding gather path
-    #: (:func:`repro.bfs.topdown.topdown_step_blocks`) to win over the
+    #: (:meth:`repro.store.CompressedCSR.gather_rows`) to win over the
     #: decoded-array gather. Varint-decoding a block costs roughly an
     #: order of magnitude more per arc than slicing the decoded
     #: ``indices``, but it touches only the frontier's blocks — so it
@@ -401,6 +401,7 @@ class LevelSynchronousCostModel:
                 return "multiprocess"
         return "bitparallel" if use_lanes else "serial"
 
+    # No caller in src/; kept because perfbench/instrument.py patches it.
     def choose_gather_path(
         self,
         *,
@@ -411,9 +412,7 @@ class LevelSynchronousCostModel:
     ) -> tuple[str, str]:
         """Pick the gather path for one multi-source level expansion.
 
-        Returns ``("blocks" | "decoded", reason)`` — the verdict the
-        traversal kernel consults when its graph carries an open
-        compressed store (``block_gather="auto"``). Same reason-string
+        Returns ``("blocks" | "decoded", reason)``. Same reason-string
         contract as :meth:`lane_batch_verdict`: a small stable
         vocabulary the workspace report can surface.
 
@@ -446,14 +445,13 @@ class LevelSynchronousCostModel:
             f"block gather fraction {limit:g}"
         )
 
+    # No caller in src/; kept because perfbench/instrument.py patches it.
     def choose_memory_mode(
         self, *, decoded_bytes: int, budget_bytes: int | None
     ) -> tuple[str, str]:
         """Route a traversal by memory pressure over a compressed store.
 
-        Returns ``("decode" | "cached" | "stream", reason)`` — the
-        verdict :class:`~repro.bfs.kernel.TraversalKernel` consults
-        when a memory budget is set on a store-backed graph. Same
+        Returns ``("decode" | "cached" | "stream", reason)``. Same
         reason-string contract as :meth:`lane_batch_verdict`: small,
         stable vocabulary.
 

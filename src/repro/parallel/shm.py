@@ -162,10 +162,9 @@ class SharedCSR:
     segment kinds).
     """
 
-    def __init__(self, graph: CSRGraph, *, memory_budget: int | None = None):
+    def __init__(self, graph: CSRGraph):
         store = graph.backing_store
         decoded_nbytes = graph.indptr.nbytes + graph.indices.nbytes
-        self._memory_budget = memory_budget
         if store is not None and store.image_nbytes < decoded_nbytes:
             self._init_scsr(graph, store)
             return
@@ -202,8 +201,6 @@ class SharedCSR:
             "image_nbytes": len(image),
             "name": graph.name,
         }
-        if self._memory_budget is not None:
-            self.spec["memory_budget"] = int(self._memory_budget)
 
     @staticmethod
     def attach(spec: dict) -> tuple[CSRGraph, object]:
@@ -223,17 +220,10 @@ class SharedCSR:
             image = np.ndarray(
                 int(spec["image_nbytes"]), dtype=np.uint8, buffer=seg.buf
             )
-            budget = spec.get("memory_budget")
             store = CompressedCSR.from_buffer(
-                image,
-                source=f"<shm:{spec['segment']}>",
-                cache_bytes=budget,
+                image, source=f"<shm:{spec['segment']}>"
             )
             graph = store.to_graph().with_name(spec["name"])
-            if budget is not None:
-                # Keep the store attached so the worker's kernel can
-                # route gathers through the budgeted block cache.
-                object.__setattr__(graph, "_backing", store)
             return graph, seg
         n = int(spec["num_vertices"])
         m = int(spec["num_indices"])

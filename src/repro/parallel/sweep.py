@@ -287,12 +287,10 @@ def _worker_main(spec: dict, use_lanes: bool, task_q, result_q) -> None:
     Module-level (spawn-importable); receives only queues and the shm
     spec. Each task carries the output segment's name, so the worker
     writes its distance rows directly into shared memory and sends back
-    just the small per-chunk accounting. A ``memory_budget`` in the
-    spec reaches the worker's kernel, so budgeted fan-outs bound every
-    worker's decoded-block scratch, not just the parent's.
+    just the small per-chunk accounting.
     """
     graph, graph_seg = SharedCSR.attach(spec)
-    kernel = TraversalKernel(graph, memory_budget=spec.get("memory_budget"))
+    kernel = TraversalKernel(graph)
     try:
         while True:
             task = task_q.get()
@@ -358,7 +356,6 @@ class MultiprocessSweepExecutor(SweepExecutor):
         max_lanes: int = LANE_WIDTH,
         use_lanes: bool | None = None,
         start_method: str | None = None,
-        memory_budget: int | None = None,
     ):
         super().__init__(graph, kernel=kernel)
         if workers < 2:
@@ -381,7 +378,7 @@ class MultiprocessSweepExecutor(SweepExecutor):
         method = start_method or default_start_method()
         self._ctx = mp.get_context(method)
         self.start_method = method
-        self._shared = SharedCSR(graph, memory_budget=memory_budget)
+        self._shared = SharedCSR(graph)
         self._record_shm(self._shared.nbytes)
         self._task_q = self._ctx.Queue()
         self._result_q = self._ctx.Queue()
@@ -544,7 +541,6 @@ def create_executor(
     kernel: TraversalKernel | None = None,
     model: LevelSynchronousCostModel | None = None,
     start_method: str | None = None,
-    memory_budget: int | None = None,
 ) -> SweepExecutor:
     """Build the right :class:`SweepExecutor` for a fan-out workload.
 
@@ -555,16 +551,6 @@ def create_executor(
     fatal: a ``multiprocess`` request without usable shared memory (or
     whose pool fails to start) falls back to ``bitparallel``, and a
     single-worker ``multiprocess`` request is served in-process.
-
-    ``memory_budget`` is the byte cap on decoded-block scratch. When it
-    resolves to a pressure mode (``"cached"`` / ``"stream"`` — see
-    :meth:`LevelSynchronousCostModel.choose_memory_mode`) on a
-    store-backed graph, an ``auto`` backend is vetoed down to
-    ``serial``: lane sweeps and decoded-array gathers would drag the
-    full indices through memory regardless of the budget, while the
-    serial backend runs on the kernel's budget-routed block path. An
-    explicit ``multiprocess`` request still works — the budget travels
-    in the shm spec so every worker's kernel honors it too.
     """
     if workers < 1:
         raise AlgorithmError(f"workers must be >= 1, got {workers}")
@@ -572,23 +558,15 @@ def create_executor(
         raise AlgorithmError(f"batch_lanes must be >= 1, got {batch_lanes}")
     if backend == "auto":
         model = model or LevelSynchronousCostModel()
-        if memory_budget is not None and graph.backing_store is not None:
-            decoded = graph.indptr.nbytes + graph.indices.nbytes
-            mode, _ = model.choose_memory_mode(
-                decoded_bytes=decoded, budget_bytes=memory_budget
-            )
-            if mode != "decode":
-                backend = "serial"
-        if backend == "auto":
-            backend = model.choose_backend(
-                num_sources=batch_lanes * max(workers, 1),
-                num_vertices=graph.num_vertices,
-                num_directed_edges=graph.num_directed_edges,
-                max_degree=graph.max_degree(),
-                workers=workers,
-                lanes=min(batch_lanes, LANE_WIDTH),
-                shm_ok=shm_available(),
-            )
+        backend = model.choose_backend(
+            num_sources=batch_lanes * max(workers, 1),
+            num_vertices=graph.num_vertices,
+            num_directed_edges=graph.num_directed_edges,
+            max_degree=graph.max_degree(),
+            workers=workers,
+            lanes=min(batch_lanes, LANE_WIDTH),
+            shm_ok=shm_available(),
+        )
     if backend == "multiprocess":
         if workers < 2:
             backend = "bitparallel"
@@ -607,7 +585,6 @@ def create_executor(
                     kernel=kernel,
                     max_lanes=batch_lanes,
                     start_method=start_method,
-                    memory_budget=memory_budget,
                 )
             except (OSError, AlgorithmError) as exc:
                 warnings.warn(

@@ -144,8 +144,9 @@ class _GraphEntry:
         self.epoch = graph.epoch if self.dynamic is not None else 0
         #: The immutable CSR every traversal runs on: the current
         #: epoch's view for dynamic entries; for static ones the graph
-        #: minus any ``.scsr`` store, whose block image the kernel and
-        #: ``fdiam`` would otherwise decode for small level-capped waves.
+        #: minus any ``.scsr`` store, so a ``workers > 1`` pool maps one
+        #: shared copy of the decoded arrays instead of every worker
+        #: decoding a private copy of the image.
         self.graph: CSRGraph = (
             graph.view() if self.dynamic is not None else graph.without_store()
         )
@@ -190,7 +191,7 @@ class QueryEngine:
     """Mixed distance/eccentricity/diameter batches over cached kernels.
 
     Every traversal reads the graph's decoded CSR arrays. A mmap'd
-    ``.scsr`` graph holds them resident from load (DESIGN.md §14.1), so
+    ``.scsr`` graph holds them resident from load (DESIGN.md §14), so
     serving takes no decoded-block budget.
 
     Parameters

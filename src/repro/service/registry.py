@@ -12,8 +12,7 @@ measured from the live graphs every time the budget is applied.
 
 The budget here evicts *whole graphs*. A resident graph, ``.scsr``
 included, holds its decoded arrays, and every query on it traverses
-those (DESIGN.md §14.1); no second, per-graph budget routes serving
-through the block-decode path.
+those (DESIGN.md §14).
 
 Threading contract: :meth:`ensure`, :meth:`evict`, and :meth:`close`
 run on the scheduler's single dispatch thread (the same thread that
@@ -74,8 +73,8 @@ class GraphSpec:
     #: Pre-built graph (tests, embedded use); kept out of eviction's
     #: store-closing path since the caller owns it.
     graph: CSRGraph | None = None
-    #: Memory-map binary containers on open (``.scsr`` keeps the
-    #: compressed image attached for block-decoding gathers).
+    #: Memory-map binary containers on open (``.scsr`` decodes in full
+    #: and keeps the compressed image attached for process sharing).
     mmap: bool = True
     #: Wrap in a :class:`~repro.dynamic.DynamicGraph` on open so the
     #: service can apply ``POST /mutate`` batches to it.

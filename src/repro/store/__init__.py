@@ -3,7 +3,10 @@
 Gap/delta-encoded, varint-packed adjacency grouped into fixed-size
 vertex blocks behind a fixed-width offset index; blocks decode
 independently off an ``mmap``'d image (see DESIGN.md §13 and
-:mod:`repro.store.format` for the exact layout).
+:mod:`repro.store.format` for the exact layout). Loading decodes the
+whole CSR (:func:`load_scsr`), and every traversal reads those decoded
+arrays; per-block decoding (:meth:`CompressedCSR.gather_rows`) is the
+format's random-access reader, not a traversal path (DESIGN.md §14).
 """
 
 from repro.store.format import (

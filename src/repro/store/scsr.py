@@ -22,12 +22,12 @@ Three entry points:
   report).
 * :func:`open_scsr` / :class:`CompressedCSR` — mmap the image
   zero-copy and decode per block through an LRU block cache
-  (:meth:`CompressedCSR.gather_rows` is the traversal kernel's
-  block-decoding gather path).
+  (:meth:`CompressedCSR.gather_rows` is the format's random-access
+  reader; traversals never use it).
 * :func:`load_scsr` — full decode back to a ``CSRGraph`` (storage tag
   ``"scsr:v1"``), digest-verified; with ``mmap=True`` the compressed
-  image stays attached as the graph's ``backing_store`` so the kernel
-  and the multiprocess pool can use it.
+  image stays attached as the graph's ``backing_store`` so the
+  multiprocess pool can ship it instead of the decoded arrays.
 
 Every corruption mode raises :class:`~repro.errors.StoreFormatError`
 with the file and failing region named.
@@ -81,10 +81,9 @@ DEFAULT_BLOCK_SIZE = 64
 #: this bounds resident decoded scratch to a few MiB even on hub rows.
 DEFAULT_CACHE_BLOCKS = 512
 
-#: Floor on the transient bulk-decode scratch (in bytes of decoded
-#: adjacency) — even a tiny cache budget amortizes varint overhead
-#: over passes of this size; the scratch is freed when the gather ends.
-_RUN_DECODE_FLOOR = 1 << 22
+#: Cap on one bulk-decode pass (in decoded arcs): a gather missing more
+#: splits into passes of this size; the scratch is freed when it ends.
+_RUN_DECODE_ARCS = 1 << 22
 
 
 @dataclass
@@ -96,8 +95,8 @@ class BlockCacheStats:
     ``block_hits`` the ones served from the LRU cache without
     decoding, ``blocks_decoded`` / ``decoded_bytes`` the actual varint
     work, and ``evictions`` the cache pressure. ``redecoded_blocks``
-    counts decodes of a block decoded before (thrash: work the cache
-    would have saved with a larger budget) and ``decode_seconds`` the
+    counts decodes of a block decoded before (thrash: work a larger
+    cache would have saved) and ``decode_seconds`` the
     wall time inside block decodes, so ``decode_bandwidth`` reads out
     the varint path's effective decoded bytes per second.
     """
@@ -276,7 +275,6 @@ class CompressedCSR:
         *,
         source: str = "<buffer>",
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        cache_bytes: int | None = None,
     ):
         self._image = np.ascontiguousarray(image, dtype=np.uint8).reshape(-1)
         self._source = source
@@ -285,7 +283,6 @@ class CompressedCSR:
             OrderedDict()
         )
         self._cache_blocks = max(int(cache_blocks), 1)
-        self._cache_bytes = None if cache_bytes is None else max(int(cache_bytes), 0)
         self._resident_bytes = 0
         self._degrees: np.ndarray | None = None
         self._indptr: np.ndarray | None = None
@@ -358,14 +355,12 @@ class CompressedCSR:
         *,
         source: str = "<shared>",
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        cache_bytes: int | None = None,
     ) -> "CompressedCSR":
         """Parse an in-memory image (e.g. a shared-memory segment)."""
         return cls(
             np.frombuffer(buf, dtype=np.uint8),
             source=source,
             cache_blocks=cache_blocks,
-            cache_bytes=cache_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -425,48 +420,19 @@ class CompressedCSR:
         }
 
     # ------------------------------------------------------------------
-    # Cache budget
+    # Block cache
     # ------------------------------------------------------------------
-    @property
-    def cache_budget(self) -> int | None:
-        """Byte budget of the block cache (``None`` = block-count LRU)."""
-        return self._cache_bytes
-
     @property
     def cache_resident_bytes(self) -> int:
         """Decoded bytes currently held by the block cache."""
         return self._resident_bytes
 
-    def set_cache_budget(self, nbytes: int | None) -> None:
-        """Cap the decoded block cache at ``nbytes`` (``None`` clears).
-
-        A byte budget takes precedence over the block-count limit the
-        store was opened with; setting one trims the cache immediately
-        (evictions count toward :attr:`BlockCacheStats.evictions`).
-        """
-        self._cache_bytes = None if nbytes is None else max(int(nbytes), 0)
-        self._trim_cache(min_keep=0)
-
-    def _trim_cache(self, *, min_keep: int = 1) -> None:
-        """Evict LRU entries until the cache fits its budget.
-
-        ``min_keep`` protects the just-inserted entry on the decode
-        path (a block larger than the whole budget must still be
-        servable once); budget changes trim all the way down.
-        """
-        if self._cache_bytes is not None:
-            while (
-                self._resident_bytes > self._cache_bytes
-                and len(self._cache) > min_keep
-            ):
-                _, (li, adj) = self._cache.popitem(last=False)
-                self._resident_bytes -= li.nbytes + adj.nbytes
-                self.stats.evictions += 1
-        else:
-            while len(self._cache) > self._cache_blocks:
-                _, (li, adj) = self._cache.popitem(last=False)
-                self._resident_bytes -= li.nbytes + adj.nbytes
-                self.stats.evictions += 1
+    def _trim_cache(self) -> None:
+        """Evict LRU entries until the cache holds ``cache_blocks``."""
+        while len(self._cache) > self._cache_blocks:
+            _, (li, adj) = self._cache.popitem(last=False)
+            self._resident_bytes -= li.nbytes + adj.nbytes
+            self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # Decoding
@@ -498,9 +464,7 @@ class CompressedCSR:
             self.degrees()
         return self._indptr
 
-    def decode_block(
-        self, block: int, *, retain: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def decode_block(self, block: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode (or fetch cached) one block's rows.
 
         Returns ``(local_indptr, neighbors)``: ``local_indptr`` has one
@@ -509,11 +473,6 @@ class CompressedCSR:
         (``int64`` absolute ids). Vertex ``v`` of block ``b`` (global
         id ``b * block_size + i``) owns
         ``neighbors[local_indptr[i]:local_indptr[i + 1]]``.
-
-        ``retain=False`` is the streaming-gather mode: existing cache
-        entries are still served (and refreshed), but a freshly decoded
-        block is returned without being inserted — the cache footprint
-        never grows, at the cost of re-decoding on revisit.
         """
         if not 0 <= block < self.header.num_blocks:
             raise StoreFormatError(
@@ -526,12 +485,10 @@ class CompressedCSR:
             self.stats.block_hits += 1
             self._cache.move_to_end(block)
             return cached
-        return self._decode_blocks(
-            np.array([block], dtype=np.int64), retain=retain
-        )[0]
+        return self._decode_blocks(np.array([block], dtype=np.int64))[0]
 
     def _decode_blocks(
-        self, ids: np.ndarray, *, retain: bool = True
+        self, ids: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Decode an ascending set of blocks in one varint pass each.
 
@@ -545,9 +502,7 @@ class CompressedCSR:
         across the whole concatenation given the explicit row ids.
 
         Returns one ``(local_indptr, neighbors)`` entry per block in
-        ``ids`` order; ``retain`` inserts each into the LRU cache
-        (copies), otherwise the entries are transient views into the
-        pass's scratch.
+        ``ids`` order, each also inserted (as a copy) into the LRU cache.
         """
         ids = np.asarray(ids, dtype=np.int64)
         region = (
@@ -611,24 +566,20 @@ class CompressedCSR:
             rhi = int(vtx_bounds[k + 1])
             alo = int(local[rlo])
             li = local[rlo : rhi + 1] - alo
-            a = adj[alo : int(local[rhi])]
-            if retain:
-                a = a.copy()
+            a = adj[alo : int(local[rhi])].copy()
             entry = (li, a)
             self.stats.decoded_bytes += li.nbytes + a.nbytes
-            if retain:
-                old = self._cache.pop(b, None)
-                if old is not None:
-                    self._resident_bytes -= old[0].nbytes + old[1].nbytes
-                self._cache[b] = entry
-                self._resident_bytes += li.nbytes + a.nbytes
+            old = self._cache.pop(b, None)
+            if old is not None:
+                self._resident_bytes -= old[0].nbytes + old[1].nbytes
+            self._cache[b] = entry
+            self._resident_bytes += li.nbytes + a.nbytes
             entries.append(entry)
-        if retain:
-            self._trim_cache(min_keep=1)
+        self._trim_cache()
         return entries
 
     def gather_rows(
-        self, vertices: np.ndarray, *, pool=None, retain: bool = True
+        self, vertices: np.ndarray, *, pool=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated neighbour lists of ``vertices`` via block decode.
 
@@ -640,9 +591,7 @@ class CompressedCSR:
         in-memory gather uses. Returns ``(values, lengths)``.
 
         ``pool`` (a duck-typed :class:`~repro.bfs.kernel.Workspace`)
-        supplies the cached ``arange`` ramp. ``retain=False`` streams:
-        decoded blocks are used for this gather only and never enter
-        the cache (see :meth:`decode_block`).
+        supplies the cached ``arange`` ramp.
 
         Cache misses are decoded in bulk: all missing blocks (however
         scattered) share one varint pass per stream via
@@ -675,23 +624,14 @@ class CompressedCSR:
             else:
                 missing.append(b)
         if missing:
-            # Transient pass scratch stays near the cache budget (with a
-            # floor so tiny budgets still amortize the varint overhead).
-            if self._cache_bytes is not None:
-                cap_arcs = max(self._cache_bytes, _RUN_DECODE_FLOOR) // 8
-            else:
-                cap_arcs = _RUN_DECODE_FLOOR
             miss = np.array(missing, dtype=np.int64)
             arcs = (
                 self._first_edge[miss + 1] - self._first_edge[miss]
             )
-            group = np.cumsum(arcs) // max(cap_arcs, 1)
+            group = np.cumsum(arcs) // _RUN_DECODE_ARCS
             for g in np.unique(group):
                 chunk = miss[group == g]
-                for b, entry in zip(
-                    chunk.tolist(),
-                    self._decode_blocks(chunk, retain=retain),
-                ):
+                for b, entry in zip(chunk.tolist(), self._decode_blocks(chunk)):
                     entries[b] = entry
         adj_list = [entries[b][1] for b in uniq.tolist()]
         sizes = np.fromiter(
@@ -1028,13 +968,12 @@ def load_scsr(
     sidecar — is distinct from an ``.npz`` load of the same arrays.
 
     With ``mmap=True`` the compressed image stays memory-mapped and
-    attached as the graph's :attr:`~repro.graph.csr.CSRGraph.backing_store`:
-    the traversal kernel can then route level-capped expansions through
-    per-block decoding, and :class:`~repro.parallel.shm.SharedCSR`
-    ships the compressed image (not the decoded arrays) to worker
-    processes. With ``mmap=False`` the store is closed after the
-    decode and the graph is indistinguishable from any in-memory CSR
-    apart from its storage tag.
+    attached as the graph's :attr:`~repro.graph.csr.CSRGraph.backing_store`,
+    and :class:`~repro.parallel.shm.SharedCSR` ships the compressed
+    image (not the decoded arrays) to worker processes. Traversals
+    read the decoded arrays either way. With ``mmap=False`` the store
+    is closed after the decode and the graph is indistinguishable from
+    any in-memory CSR apart from its storage tag.
     """
     store = open_scsr(path)
     try:

@@ -37,7 +37,6 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "CONFIG_LATTICE",
     "Disagreement",
-    "budget_axis",
     "reference_eccentricities",
     "run_trial",
 ]
@@ -297,40 +296,10 @@ def _check_store(
             found.extend(
                 _check_result(label, result, ref_diameter, ref_connected)
             )
-        # Memory-budget axis: the same mapped image solved unbounded
-        # (above) and under each budget of :func:`budget_axis` must
-        # agree bit-identically — budgets change wall time and
-        # resident bytes, never answers.
-        if mapped.num_vertices:
-            for label, config in budget_axis(mapped):
-                try:
-                    result = fdiam(mapped, config)
-                except ReproError as exc:
-                    found.append(
-                        Disagreement(label, f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                found.extend(
-                    _check_result(label, result, ref_diameter, ref_connected)
-                )
         backing = mapped.backing_store
         if backing is not None:
             backing.close()
     return found
-
-
-def budget_axis(mapped: CSRGraph) -> tuple[tuple[str, FDiamConfig], ...]:
-    """The lattice's memory-budget cells for a store-backed graph.
-
-    Half the decoded size caps the block cache (cached-gather mode); a
-    zero budget disables cache retention entirely (streaming-gather
-    mode).
-    """
-    decoded = mapped.indptr.nbytes + mapped.indices.nbytes
-    return (
-        ("store/mmap+capped", FDiamConfig(memory_budget=max(decoded // 2, 1))),
-        ("store/mmap+stream", FDiamConfig(memory_budget=0)),
-    )
 
 
 def _check_queries(

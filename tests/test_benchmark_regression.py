@@ -121,9 +121,6 @@ VIOLATING = {
         "workers_4_backend": "bitparallel",
     },
     ("bytes-per-edge", "ratio_vs_npz_reordered"): {"ratio_vs_npz_reordered": 2.999},
-    ("out-of-core", "mode"): {"mode": "decode"},
-    ("out-of-core", "diameter"): {"diameter": 1261, "memory_diameter": 1262},
-    ("out-of-core", "resident_bytes"): {"resident_bytes": 201, "budget_bytes": 100},
     ("service", "mismatches"): {"mismatches": 1},
     ("service", ("coalescing_ratio", "gather_pass_ratio")): {
         "coalescing_ratio": 50.0,
@@ -172,16 +169,17 @@ class TestGates:
         )
 
     def test_gate_plan_runs_only_the_gated_stages(self, regression):
-        assert regression.gate_plan(["out-of-core", "bytes-per-edge"]) == [
+        assert regression.gate_plan(["stream-encode", "bytes-per-edge"]) == [
             ("road-1M", "store_compress"),
-            ("road-1M", "fdiam_out_of_core"),
+            ("road-10M", "store_stream_encode"),
+            ("powerlaw-10M", "store_stream_encode"),
         ]
         assert regression.gate_plan(["service"]) == [
             (g, "query_service_load") for g in regression.FULL_GRAPHS
         ]
         assert set(regression.GATE_NAMES) == {
-            "warm", "scaling", "bytes-per-edge", "out-of-core", "service",
-            "churn", "stream-encode",
+            "warm", "scaling", "bytes-per-edge", "service", "churn",
+            "stream-encode",
         }
 
     def test_gate_cli_writes_only_its_records(
@@ -256,11 +254,7 @@ class TestCommittedBaseline:
         # baseline has no row of a stage that no longer exists.
         assert not regression.evaluate(snap)
         assert not regression.evaluate(snap, baseline=snap)
-        # The budget battery keeps its wall-ratio-vs-in-memory at >= 3
-        # budget points; no other record carries time or memory.
-        budgeted = snap["stages"].pop("powerlaw-10M/fdiam_budgeted")
-        ratios = [k for k in budgeted if k.endswith("_wall_ratio_vs_memory")]
-        assert len(ratios) >= 3
+        # No record carries time or memory.
         timing = {"qps", "p50_ms", "p95_ms", "p99_ms", "peak_rss_mb"}
         for record in snap["stages"].values():
             assert not [

@@ -1,10 +1,9 @@
-"""Block decoding: per-block gathers, the kernel path, and the stats.
+"""Block decoding: per-block gathers, compressed-image sharing, and the stats.
 
-The block-decoding gather must be an *invisible* optimization: every
-row it produces, every frontier the kernel expands through it, and
-every distance computed on top must be bit-identical to the in-memory
-path. The LRU cache and the cost-model routing only change where the
-bytes come from.
+Every row the block-decoding gather produces must be bit-identical to
+the in-memory CSR row; the LRU cache only changes where the bytes come
+from. Traversals never take this path: a mapped ``.scsr`` graph is
+traversed through its decoded arrays and decodes no blocks.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bfs.frontier import gather_neighbors
-from repro.bfs.kernel import TraversalKernel, Workspace
-from repro.bfs.topdown import topdown_step_blocks
-from repro.bfs.visited import VisitMarks
+from repro.bfs.kernel import Workspace
 from repro.errors import AlgorithmError
 from repro.generators.registry import build_analog, build_fuzz_graph
 from repro.parallel.costmodel import CostModelParams, LevelSynchronousCostModel
@@ -73,6 +70,32 @@ class TestDecodeBlock:
             vals, lens = store.gather_rows(np.empty(0, dtype=np.int64))
             assert len(vals) == 0 and len(lens) == 0
 
+    def test_gather_edge_cases_match_csr_rows(self, tmp_path):
+        """Duplicate sources, empty rows, and block-boundary spans all
+        reproduce the CSRGraph rows."""
+        graph, _ = build_fuzz_graph(9, max_vertices=48)
+        path = tmp_path / "g.scsr"
+        block_size = 4
+        save_scsr(graph, path, block_size=block_size)
+        degs = np.diff(graph.indptr)
+        empty = np.flatnonzero(degs == 0)
+        boundary = np.array(
+            [block_size - 1, block_size], dtype=np.int64
+        ) % max(graph.num_vertices, 1)
+        batteries = [
+            np.array([3, 3, 3, 1, 1], dtype=np.int64)
+            % max(graph.num_vertices, 1),
+            boundary,  # request spanning a block boundary
+        ]
+        if len(empty):
+            batteries.append(np.repeat(empty[:1], 3))
+        with open_scsr(path) as store:
+            for frontier in batteries:
+                got, lengths = store.gather_rows(frontier)
+                want = gather_neighbors(graph, frontier)
+                assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+                assert np.array_equal(lengths, degs[frontier])
+
 
 class TestCacheStats:
     def test_hits_and_evictions_accounted(self, tmp_path):
@@ -96,68 +119,43 @@ class TestCacheStats:
                 store.decode_block(0)
                 assert stats.blocks_decoded >= 4
 
-    def test_kernel_syncs_store_deltas_into_workspace(self, analog, stored):
-        graph = load_scsr(stored, mmap=True)
-        store = graph.backing_store
-        try:
-            # Pre-existing store traffic must not be charged to the kernel.
-            store.decode_block(0)
-            kernel = TraversalKernel(graph, memory_mode="cached")
-            kernel.levels([0], 2)
-            ws = kernel.workspace.stats
-            assert ws.store_block_requests > 0
-            assert ws.store_blocks_decoded > 0
-            assert ws.store_decoded_bytes > 0
-            total = store.stats.block_requests
-            assert ws.store_block_requests == total - 1
-            assert 0.0 <= ws.store_block_hit_rate <= 1.0
-        finally:
-            store.close()
+    def test_lru_bounds_residency_and_counts_thrash(self, analog, stored):
+        rng = np.random.default_rng(11)
+        frontier = rng.integers(0, analog.num_vertices, size=2000)
+        with open_scsr(stored, cache_blocks=4) as store:
+            store.gather_rows(frontier)
+            assert store.stats.blocks_decoded - store.stats.evictions <= 4
+            assert store.stats.evictions > 0
+            # The same frontier again: evicted blocks re-decode and the
+            # thrash counters say so.
+            store.gather_rows(frontier)
+            assert store.stats.redecoded_blocks > 0
+            assert 0.0 < store.stats.thrash_rate <= 1.0
+            assert store.stats.decode_seconds > 0.0
+            assert store.stats.decode_bandwidth > 0.0
 
 
 class TestKernelBlockPath:
-    @pytest.mark.parametrize("max_level", [1, 3, None])
-    def test_levels_bit_identical(self, analog, stored, max_level):
-        graph = load_scsr(stored, mmap=True)
-        try:
-            plain = TraversalKernel(analog)
-            blocks = TraversalKernel(graph, memory_mode="cached")
-            sources = [0, 17, 4093]
-            for a, b in zip(
-                plain.levels(sources, max_level),
-                blocks.levels(sources, max_level),
-            ):
-                assert np.array_equal(np.sort(a), np.sort(b))
-        finally:
-            graph.backing_store.close()
+    def test_fdiam_answer_unchanged_by_block_path(self, analog, stored, tmp_path):
+        # A mapped graph runs on its decoded arrays: the same answer, BFS
+        # and arc counts as the unmapped graph, and no block requests.
+        # The road analog's Winnow and Eliminate waves are small and
+        # level-capped, the case a block gather would be tempted by.
+        from repro.core import fdiam
 
-    def test_topdown_step_blocks_matches_plain_step(self, analog, stored):
-        from repro.bfs.topdown import topdown_step
-
-        with open_scsr(stored) as store:
-            marks_a = VisitMarks(analog.num_vertices)
-            marks_b = VisitMarks(analog.num_vertices)
-            frontier = np.array([0, 5, 99], dtype=np.int64)
-            marks_a.new_epoch()
-            marks_a.visit(frontier)
-            marks_b.new_epoch()
-            marks_b.visit(frontier)
-            next_a, edges_a = topdown_step(analog, frontier, marks_a)
-            next_b, edges_b = topdown_step_blocks(store, frontier, marks_b)
-            assert np.array_equal(np.sort(next_a), np.sort(next_b))
-            assert edges_a == edges_b
-
-    def test_fdiam_answer_unchanged_by_block_path(self, analog, stored):
-        from repro.core import FDiamConfig, fdiam
-
-        graph = load_scsr(stored, mmap=True)
-        try:
-            assert (
-                fdiam(graph, FDiamConfig()).diameter
-                == fdiam(analog, FDiamConfig()).diameter
-            )
-        finally:
-            graph.backing_store.close()
+        road = build_analog("USA-road-d.NY")
+        save_scsr(road, tmp_path / "road.scsr")
+        for plain, path in ((analog, stored), (road, tmp_path / "road.scsr")):
+            graph = load_scsr(path, mmap=True)
+            try:
+                got = fdiam(graph)
+                want = fdiam(plain)
+                assert got.diameter == want.diameter
+                assert got.stats.bfs_traversals == want.stats.bfs_traversals
+                assert got.stats.edges_examined == want.stats.edges_examined
+                assert graph.backing_store.stats.block_requests == 0
+            finally:
+                graph.backing_store.close()
 
 
 class TestCompressedImageSharing:
@@ -262,176 +260,3 @@ class TestGatherPathCostModel:
         with open_scsr(stored) as store:
             store.gather_rows(np.array([0, 1, 2]), pool=ws)
         assert ws.stats.buffer_requests > 0
-
-
-class TestByteBudgetCache:
-    """The byte-denominated cache budget and its thrash accounting."""
-
-    def _reference_rows(self, graph, vertices):
-        return gather_neighbors(graph, np.asarray(vertices, dtype=np.int64))
-
-    @pytest.mark.parametrize("retain", [True, False])
-    def test_gather_edge_cases_match_csr_rows(self, tmp_path, retain):
-        """Duplicate sources, empty rows, and block-boundary spans all
-        reproduce the CSRGraph rows under both cached and streaming
-        gathers."""
-        graph, _ = build_fuzz_graph(9, max_vertices=48)
-        path = tmp_path / "g.scsr"
-        block_size = 4
-        save_scsr(graph, path, block_size=block_size)
-        degs = np.diff(graph.indptr)
-        empty = np.flatnonzero(degs == 0)
-        boundary = np.array(
-            [block_size - 1, block_size], dtype=np.int64
-        ) % max(graph.num_vertices, 1)
-        batteries = [
-            np.array([3, 3, 3, 1, 1], dtype=np.int64)
-            % max(graph.num_vertices, 1),
-            boundary,  # request spanning a block boundary
-        ]
-        if len(empty):
-            batteries.append(np.repeat(empty[:1], 3))
-        with open_scsr(path) as store:
-            for frontier in batteries:
-                got, lengths = store.gather_rows(frontier, retain=retain)
-                want = self._reference_rows(graph, frontier)
-                assert np.array_equal(got, np.asarray(want, dtype=np.int64))
-                assert np.array_equal(lengths, degs[frontier])
-
-    def test_streaming_gather_never_populates_the_cache(self, analog, stored):
-        rng = np.random.default_rng(7)
-        frontier = rng.integers(0, analog.num_vertices, size=300)
-        with open_scsr(stored) as store:
-            store.gather_rows(frontier, retain=False)
-            assert store.cache_resident_bytes == 0
-            assert store.stats.blocks_decoded > 0
-            # A cached block IS still served to a streaming gather.
-            store.decode_block(0)
-            before = store.stats.block_hits
-            store.gather_rows(np.array([0]), retain=False)
-            assert store.stats.block_hits == before + 1
-
-    def test_byte_budget_bounds_residency_and_counts_thrash(
-        self, analog, stored
-    ):
-        rng = np.random.default_rng(11)
-        frontier = rng.integers(0, analog.num_vertices, size=2000)
-        budget = 4096
-        with open_scsr(stored) as store:
-            store.set_cache_budget(budget)
-            assert store.cache_budget == budget
-            store.gather_rows(frontier)
-            assert store.cache_resident_bytes <= budget
-            assert store.stats.evictions > 0
-            # The same frontier again: evicted blocks re-decode and the
-            # thrash counters say so.
-            store.gather_rows(frontier)
-            assert store.stats.redecoded_blocks > 0
-            assert 0.0 < store.stats.thrash_rate <= 1.0
-            assert store.stats.decode_seconds > 0.0
-            assert store.stats.decode_bandwidth > 0.0
-
-    def test_zero_budget_keeps_cache_empty_after_trim(self, analog, stored):
-        with open_scsr(stored) as store:
-            store.gather_rows(np.arange(50, dtype=np.int64))
-            assert store.cache_resident_bytes > 0
-            store.set_cache_budget(0)
-            assert store.cache_resident_bytes == 0
-
-    def test_open_with_cache_bytes_budget(self, stored):
-        from repro.store import CompressedCSR
-
-        store = CompressedCSR.from_buffer(
-            __import__("pathlib").Path(stored).read_bytes(), cache_bytes=2048
-        )
-        assert store.cache_budget == 2048
-        store.gather_rows(np.arange(200, dtype=np.int64))
-        # The decode path protects the just-inserted block, so residency
-        # may overshoot by at most that one entry; an explicit re-trim
-        # enforces the budget strictly.
-        assert store.stats.evictions > 0
-        store.set_cache_budget(2048)
-        assert store.cache_resident_bytes <= 2048
-
-
-class TestKernelMemoryModes:
-    """memory_budget / memory_mode routing on the traversal kernel."""
-
-    def test_mode_and_budget_validated(self, analog):
-        with pytest.raises(AlgorithmError):
-            TraversalKernel(analog, memory_mode="bogus")
-        with pytest.raises(AlgorithmError):
-            TraversalKernel(analog, memory_budget=-1)
-
-    def test_forced_block_modes_require_a_store(self, analog):
-        for mode in ("cached", "stream"):
-            with pytest.raises(AlgorithmError):
-                TraversalKernel(analog, memory_mode=mode)
-
-    def test_auto_resolution_tracks_the_budget(self, analog, stored):
-        graph = load_scsr(stored, mmap=True)
-        try:
-            decoded = graph.indptr.nbytes + graph.indices.nbytes
-            assert TraversalKernel(graph).memory_mode == "decode"
-            assert (
-                TraversalKernel(graph, memory_budget=decoded * 4).memory_mode
-                == "decode"
-            )
-            assert (
-                TraversalKernel(
-                    graph, memory_budget=decoded // 4
-                ).memory_mode
-                == "cached"
-            )
-            assert (
-                # Below even the 1/16384 cache floor: route to stream.
-                TraversalKernel(graph, memory_budget=1).memory_mode
-                == "stream"
-            )
-        finally:
-            graph.backing_store.close()
-
-    def test_plain_graph_ignores_the_budget(self, analog):
-        kernel = TraversalKernel(analog, memory_budget=1)
-        assert kernel.memory_mode == "decode"
-
-    @pytest.mark.parametrize("mode", ["cached", "stream"])
-    def test_bfs_bit_identical_under_pressure(self, analog, stored, mode):
-        reference = TraversalKernel(analog)
-        graph = load_scsr(stored, mmap=True)
-        try:
-            kernel = TraversalKernel(
-                graph,
-                memory_mode=mode,
-                memory_budget=4096 if mode == "cached" else None,
-            )
-            for source in (0, analog.max_degree_vertex()):
-                want = reference.bfs(source)
-                got = kernel.bfs(source)
-                assert got.eccentricity == want.eccentricity
-                assert got.visited_count == want.visited_count
-            ws = kernel.workspace.stats
-            assert ws.store_blocks_decoded > 0
-            if mode == "stream":
-                assert graph.backing_store.cache_resident_bytes == 0
-        finally:
-            graph.backing_store.close()
-
-    def test_fdiam_bit_identical_across_budgets(self, analog, stored):
-        from repro.core.config import FDiamConfig
-        from repro.core.fdiam import fdiam
-        from repro.core.state import FDiamState
-
-        want = fdiam(analog)
-        graph = load_scsr(stored, mmap=True)
-        try:
-            decoded = graph.indptr.nbytes + graph.indices.nbytes
-            for budget in (None, decoded // 4, 1024):
-                got = fdiam(graph, FDiamConfig(memory_budget=budget))
-                assert got.diameter == want.diameter
-            # A zero budget always streams.
-            streamed = FDiamConfig(memory_budget=0)
-            assert FDiamState(graph, streamed).kernel.memory_mode == "stream"
-            assert fdiam(graph, streamed).diameter == want.diameter
-        finally:
-            graph.backing_store.close()

@@ -61,26 +61,6 @@ class TestTrialCleanliness:
         assert any(c.ecc_lanes == "on" for c in configs)
         assert {c.engine for c in configs} == {"parallel", "serial"}
 
-    def test_budget_cells_run_in_their_memory_modes(self, tmp_path):
-        from repro.core.state import FDiamState
-        from repro.store import load_scsr, save_scsr
-        from repro.verify.differential import budget_axis
-
-        graph, _ = build_fuzz_graph(3, max_vertices=48)
-        save_scsr(graph, tmp_path / "g.scsr")
-        mapped = load_scsr(tmp_path / "g.scsr", mmap=True)
-        try:
-            modes = {
-                label: FDiamState(mapped, config).kernel.memory_mode
-                for label, config in budget_axis(mapped)
-            }
-        finally:
-            mapped.backing_store.close()
-        assert modes == {
-            "store/mmap+capped": "cached",
-            "store/mmap+stream": "stream",
-        }
-
     def test_trial_detects_injected_fault(self):
         # A trial (not just a bare fdiam call) must surface the fault
         # as labeled disagreements rather than crash.
