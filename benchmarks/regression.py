@@ -41,7 +41,6 @@ import numpy as np  # noqa: E402
 from repro._version import __version__  # noqa: E402
 from repro.baselines.sumsweep import sumsweep_diameter  # noqa: E402
 from repro.cache import WarmStartStore, fdiam_cached  # noqa: E402
-from repro.core.config import FDiamConfig  # noqa: E402
 from repro.core.extremes import eccentricity_spectrum  # noqa: E402
 from repro.core.fdiam import fdiam  # noqa: E402
 from repro.bfs.kernel import TraversalKernel  # noqa: E402
@@ -100,21 +99,6 @@ def _stage_fdiam(graph):
     }
 
 
-def _stage_fdiam_prep(graph):
-    res = fdiam(graph, FDiamConfig(prep="auto"))
-    prep = res.stats.prep
-    return {
-        "bfs_count": res.stats.bfs_traversals,
-        "edges_examined": res.stats.edges_examined,
-        "diameter": res.diameter,
-        "prep_vertices_removed": prep.vertices_removed if prep else 0,
-        "prep_edges_removed": prep.edges_removed if prep else 0,
-        "prep_components_skipped": prep.components_skipped if prep else 0,
-        "prep_edge_span_before": prep.edge_span_before if prep else 0,
-        "prep_edge_span_after": prep.edge_span_after if prep else 0,
-    }
-
-
 def _stage_spectrum(graph, lanes):
     spec = eccentricity_spectrum(graph, batch_lanes=lanes)
     return {
@@ -134,8 +118,8 @@ def _stage_fdiam_warm(graph):
     """
     with tempfile.TemporaryDirectory() as tmp:
         store = WarmStartStore(Path(tmp))
-        cold, _ = fdiam_cached(graph, FDiamConfig(prep="auto"), store=store)
-        res, info = fdiam_cached(graph, FDiamConfig(prep="auto"), store=store)
+        cold, _ = fdiam_cached(graph, store=store)
+        res, info = fdiam_cached(graph, store=store)
     return {
         "bfs_count": res.stats.bfs_traversals,
         "edges_examined": res.stats.edges_examined,
@@ -375,7 +359,6 @@ def _stage_store_stream_encode(graph):
 STAGES = {
     "bfs_hybrid": _stage_bfs_hybrid,
     "fdiam": _stage_fdiam,
-    "fdiam_prep": _stage_fdiam_prep,
     "fdiam_warm": _stage_fdiam_warm,
     "query_batch": _stage_query_batch,
     "query_service_load": _stage_query_service_load,
@@ -505,16 +488,6 @@ def run(plan) -> dict:
             print(f"  running {key} ...", flush=True)
             stages[key] = STAGES[stage](graph)
         del graph  # a 10^7-edge graph is freed before the next is built
-        plain, prep = stages.get(f"{name}/fdiam"), stages.get(f"{name}/fdiam_prep")
-        if plain and prep:
-            # The prep pipeline's headline: how much traversal work the
-            # reductions + planner shave off the plain run (> 1 = win).
-            prep["bfs_ratio_vs_plain"] = round(
-                plain["bfs_count"] / max(prep["bfs_count"], 1), 3
-            )
-            prep["edge_ratio_vs_plain"] = round(
-                plain["edges_examined"] / max(prep["edges_examined"], 1), 3
-            )
         scalar = stages.get(f"{name}/spectrum_scalar")
         lanes = stages.get(f"{name}/spectrum_lanes64")
         if scalar and lanes:

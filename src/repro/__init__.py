@@ -24,9 +24,9 @@ The package is organized into:
   Eliminate, incremental extension).
 * :mod:`repro.baselines` — iFUB, Graph-Diameter, Korf, Takes–Kosters,
   and naive all-eccentricity baselines.
-* :mod:`repro.prep` — exactness-preserving preprocessing (pendant-tree
-  peeling, mirror-vertex collapsing, vertex reordering, per-component
-  planning) behind the ``--prep`` switch.
+* :mod:`repro.prep` — exactness-preserving reductions (pendant-tree
+  peeling, mirror-vertex collapsing) and vertex reorderings, which
+  F-Diam does not call.
 * :mod:`repro.parallel` — chunked executor and the level-synchronous
   parallel cost model used for the thread-scaling study.
 * :mod:`repro.harness` — benchmark workloads, runners, and the

@@ -7,12 +7,9 @@ content digest, hand any artifacts to the warm seams of
 :func:`repro.core.extremes.eccentricity_spectrum`, and write a fresh
 sidecar after a cold (or distrusted-warm) run.
 
-Both ``fdiam`` paths here run the *plain* driver (``prep="off"``)
-rather than the component-splitting prep pipeline: artifact collection
-needs the final :class:`~repro.core.state.FDiamState` of a whole-graph
-run (per-component status arrays would not line up with the original
-vertex ids), and on the pinned graphs the payoff gate reduces the prep
-pipeline to exactly this shape anyway.
+Artifact collection reads the final
+:class:`~repro.core.state.FDiamState` of the whole-graph run, so its
+status arrays line up with the original vertex ids.
 """
 
 from __future__ import annotations
@@ -142,7 +139,6 @@ def fdiam_cached(
     sidecar from the finished state. The diameter is exact in every
     branch; only the traversal count varies.
     """
-    config = (config or FDiamConfig()).ablate(prep="off")
     digest = graph_digest(graph)
     art = store.load(graph, digest=digest)
     if art is not None:

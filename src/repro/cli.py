@@ -88,15 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "when the cost model predicts a payoff (default 1, in-process)",
     )
     parser.add_argument(
-        "--prep",
-        default="off",
-        metavar="SPEC",
-        help="exactness-preserving preprocessing before F-Diam: 'off' "
-        "(default), 'auto' (peel + collapse + reorder + per-component "
-        "planning), or a comma list of peel, collapse, "
-        "reorder[=degree|bfs|rcm|auto], plan",
-    )
-    parser.add_argument(
         "--no-winnow", action="store_true", help="disable the Winnow stage"
     )
     parser.add_argument(
@@ -781,7 +772,6 @@ def main(argv: list[str] | None = None) -> int:
         use_eliminate=not args.no_eliminate,
         use_chain=not args.no_chain,
         use_max_degree_start=not args.start_vertex_zero,
-        prep=args.prep,
     )
     store = None
     cache_info = None
@@ -834,28 +824,6 @@ def main(argv: list[str] | None = None) -> int:
         if stats.warm_start:
             verdict = "verified" if stats.warm_verified else "distrusted"
             print(f"warm start     : witness BFS {verdict}")
-        if stats.prep is not None:
-            prep = stats.prep
-            print(f"prep stages    : {', '.join(prep.stages) or 'none'}")
-            if prep.stages_gated:
-                print(f"  gated        : {', '.join(prep.stages_gated)} "
-                      "(cost model: payoff below stage cost)")
-            print(f"  peel         : -{prep.peel_vertices_removed} vertices "
-                  f"(-{prep.peel_edges_removed} edges, "
-                  f"{prep.peel_anchors} anchors, "
-                  f"{prep.peel_spine_vertices} spine vertices)")
-            print(f"  collapse     : -{prep.mirror_vertices_removed} vertices "
-                  f"({prep.mirror_open_groups} open + "
-                  f"{prep.mirror_closed_groups} closed mirror groups)")
-            print(f"  components   : {prep.components_solved} solved, "
-                  f"{prep.components_skipped} skipped")
-            if prep.reorder_strategies:
-                picked = ", ".join(
-                    f"{k}×{v}" for k, v in sorted(prep.reorder_strategies.items())
-                )
-                print(f"  reorder      : {picked} "
-                      f"(edge span {prep.edge_span_before:,} → "
-                      f"{prep.edge_span_after:,})")
         print("removed by     :")
         for stage, frac in stats.removal_fractions().items():
             print(f"  {stage:10s} {100 * frac:6.2f}%")

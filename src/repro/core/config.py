@@ -61,13 +61,6 @@ class FDiamConfig:
         lane sweeps; ``False`` forces pure top-down.
     keep_traces:
         Retain per-level BFS traces (needed by the parallel cost model).
-    prep:
-        The ``--prep`` reduction pipeline specification: ``"off"``
-        (default) runs plain F-Diam; ``"auto"`` enables every stage
-        (peel, collapse, reorder, per-component planning); a comma list
-        picks stages explicitly — see
-        :class:`repro.prep.plan.PrepSpec`. Exactness-preserving: the
-        returned diameter is identical with any value.
     ecc_lanes:
         How the run evaluates eccentricities. ``"off"`` is the paper's
         algorithm: one BFS per still-active vertex, each seeing every
@@ -105,7 +98,6 @@ class FDiamConfig:
     threshold: float = DEFAULT_THRESHOLD
     directions: bool = True
     keep_traces: bool = False
-    prep: str = "off"
     ecc_lanes: EccLanes = "auto"
     verify: bool = False
 

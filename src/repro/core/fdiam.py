@@ -98,28 +98,10 @@ def fdiam(
     """Compute the exact diameter of ``graph`` (see :func:`fdiam_with_state`).
 
     This is the public entry point; it discards the internal run state.
-    With ``config.prep`` set (anything other than ``"off"``), the run
-    first goes through the exactness-preserving reduction pipeline of
-    :mod:`repro.prep` — pendant-tree peeling, mirror collapsing and
-    per-component reordering — and the per-component results are merged back into one :class:`DiameterResult` carrying
-    the identical diameter (and infinity convention) as the plain path.
-
     ``warm`` seeds the run from cached certificates (see
-    :func:`fdiam_with_state`); it supersedes ``prep``, whose one-time
-    savings the cached artifacts already subsume.
+    :func:`fdiam_with_state`).
     """
-    effective = config or FDiamConfig()
-    if warm is not None:
-        result, _ = fdiam_with_state(
-            graph, effective.ablate(prep="off"), deadline=deadline, warm=warm
-        )
-        return result
-    if effective.prep not in ("", "off", "none"):
-        # Local import: repro.prep sits above the core layer.
-        from repro.prep.pipeline import fdiam_prepped
-
-        return fdiam_prepped(graph, effective, deadline=deadline)
-    result, _ = fdiam_with_state(graph, effective, deadline=deadline)
+    result, _ = fdiam_with_state(graph, config, deadline=deadline, warm=warm)
     return result
 
 

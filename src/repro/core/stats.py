@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -29,10 +29,7 @@ import numpy as np
 from repro.bfs.instrumentation import BFSTrace
 from repro.bfs.kernel import WorkspaceStats
 
-#: Workspace fields that merge as a high-water mark; the rest are summed.
-_HIGH_WATER = frozenset({"peak_scratch_bytes", "owned_bytes", "shm_bytes"})
-
-__all__ = ["Reason", "StageTimes", "PrepStats", "FDiamStats"]
+__all__ = ["Reason", "StageTimes", "FDiamStats"]
 
 
 class Reason(IntEnum):
@@ -44,7 +41,7 @@ class Reason(IntEnum):
     CHAIN = 3
     DEGREE_ZERO = 4
     COMPUTED = 5  # eccentricity explicitly evaluated by a BFS
-    PREP = 6  # peeled / collapsed / component-skipped before any BFS
+    PREP = 6  # no longer assigned; kept so persisted sidecar codes keep their values
     WARM = 7  # discharged by a warm-start certificate from the cache
 
 
@@ -71,62 +68,6 @@ class StageTimes:
         if total <= 0:
             return {s: 0.0 for s in self._STAGES}
         return {s: getattr(self, s) / total for s in self._STAGES}
-
-
-@dataclass
-class PrepStats:
-    """Deterministic effectiveness counters of the prep pipeline.
-
-    Everything here is a structural count — vertices/edges removed,
-    spine vertices synthesized, components planned, the edge-span
-    locality proxy — so benchmark regression comparisons of the prep
-    stages stay wall-clock-independent. Attached to
-    :attr:`FDiamStats.prep` by :func:`repro.prep.pipeline.fdiam_prepped`.
-    """
-
-    #: Canonical stage tokens the run was configured with.
-    stages: tuple[str, ...] = ()
-    #: Stages the cost-model payoff gate vetoed (``plan`` spec only):
-    #: configured but skipped because their modeled wall-clock cost
-    #: exceeded the traversal work they could plausibly save.
-    stages_gated: tuple[str, ...] = ()
-
-    # Pendant-tree peeling.
-    peel_vertices_removed: int = 0
-    peel_edges_removed: int = 0
-    peel_spine_vertices: int = 0
-    peel_anchors: int = 0
-    peel_tree_components: int = 0
-    peel_correction: int = 0
-
-    # Mirror-vertex collapsing.
-    mirror_vertices_removed: int = 0
-    mirror_edges_removed: int = 0
-    mirror_open_groups: int = 0
-    mirror_closed_groups: int = 0
-    mirror_max_multiplicity: int = 0
-    mirror_correction: int = 0
-
-    # Per-component planning.
-    components_total: int = 0
-    components_solved: int = 0
-    components_skipped: int = 0  # too small to beat the running bound
-    reorder_strategies: dict[str, int] = field(default_factory=dict)
-
-    #: Reorder bandwidth proxy: sum of |u - v| over undirected edges of
-    #: the solved components, before and after permutation.
-    edge_span_before: int = 0
-    edge_span_after: int = 0
-
-    @property
-    def vertices_removed(self) -> int:
-        """Original vertices the reductions deleted (peel + mirror)."""
-        return self.peel_vertices_removed + self.mirror_vertices_removed
-
-    @property
-    def edges_removed(self) -> int:
-        """Net edge reduction over both reduction stages."""
-        return self.peel_edges_removed + self.mirror_edges_removed
 
 
 @dataclass
@@ -169,10 +110,6 @@ class FDiamStats:
     #: scratch bytes, buffer-reuse hit rate); attached by FDiamState.
     workspace: WorkspaceStats | None = None
 
-    #: Reduction-pipeline counters; ``None`` unless the run went through
-    #: :func:`repro.prep.pipeline.fdiam_prepped`.
-    prep: PrepStats | None = None
-
     #: Whether the run was seeded from a warm-start cache artifact
     #: (:mod:`repro.cache`): the 2-sweep is replaced by a single witness
     #: BFS and cached certificates discharge the remaining vertices.
@@ -198,11 +135,7 @@ class FDiamStats:
 
         The ``computed`` entry covers vertices whose eccentricity was
         explicitly evaluated (the paper folds these sub-percent values
-        into rounding). The ``prep`` entry counts vertices the reduction
-        pipeline deleted (or skipped with whole components) before any
-        BFS; for prepped runs the fractions cover synthetic spine
-        vertices too, so they are reported against the original ``n``
-        and may sum slightly above 1.
+        into rounding).
         """
         n = max(self.num_vertices, 1)
         return {
@@ -211,45 +144,8 @@ class FDiamStats:
             "chain": self.removed_by[Reason.CHAIN] / n,
             "degree0": self.removed_by[Reason.DEGREE_ZERO] / n,
             "computed": self.removed_by[Reason.COMPUTED] / n,
-            "prep": self.removed_by[Reason.PREP] / n,
             "warm": self.removed_by[Reason.WARM] / n,
         }
-
-    def merge_from(self, other: FDiamStats) -> None:
-        """Fold a per-component sub-run's counters into this aggregate.
-
-        Used by the prep pipeline to combine the per-component F-Diam
-        runs into one run-level view: traversal counters, removal
-        attribution, stage times, and traces add up; the main-loop
-        batch decision keeps the widest batch and its reason; workspace
-        accounting sums every field except the high-water marks
-        (:data:`_HIGH_WATER`), which keep the larger value.
-        """
-        self.eccentricity_bfs += other.eccentricity_bfs
-        self.winnow_calls += other.winnow_calls
-        self.eliminate_calls += other.eliminate_calls
-        self.bound_updates += other.bound_updates
-        self.ecc_sweeps += other.ecc_sweeps
-        self.redundant_evaluations += other.redundant_evaluations
-        # The widest batch any component ran is the run's decision.
-        if other.ecc_batch > self.ecc_batch or not self.ecc_batch_reason:
-            self.ecc_batch = other.ecc_batch
-            self.ecc_batch_reason = other.ecc_batch_reason
-        self.removed_by += other.removed_by
-        for stage in StageTimes._STAGES:
-            setattr(
-                self.times,
-                stage,
-                getattr(self.times, stage) + getattr(other.times, stage),
-            )
-        self.traces.extend(other.traces)
-        if other.workspace is not None:
-            if self.workspace is None:
-                self.workspace = WorkspaceStats()
-            mine, theirs = self.workspace, other.workspace
-            for f in fields(WorkspaceStats):
-                a, b = getattr(mine, f.name), getattr(theirs, f.name)
-                setattr(mine, f.name, max(a, b) if f.name in _HIGH_WATER else a + b)
 
     @contextmanager
     def timing(self, stage: str):

@@ -85,10 +85,7 @@ class DynamicDiameter:
         if repair_budget_factor < 0:
             raise AlgorithmError("repair_budget_factor must be >= 0")
         self.graph = graph
-        # The repairable state needs whole-graph status arrays, so the
-        # cold path runs the plain driver (prep's component splitting
-        # would misalign the vertex ids — same reason fdiam_cached does).
-        self.config = (config or FDiamConfig()).ablate(prep="off")
+        self.config = config or FDiamConfig()
         self.repair_budget_factor = float(repair_budget_factor)
         self.last_repair: RepairStats | None = None
         self.repairs = 0

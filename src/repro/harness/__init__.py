@@ -16,7 +16,6 @@ from repro.harness.experiments import (
     table3_bfs_counts,
     table4_stage_effectiveness,
     table5_ablation_bfs,
-    table_prep_reduction,
 )
 from repro.harness.figures import line_series, log_bar_chart, stacked_percent_bars
 from repro.harness.runner import (
@@ -76,5 +75,4 @@ __all__ = [
     "table3_bfs_counts",
     "table4_stage_effectiveness",
     "table5_ablation_bfs",
-    "table_prep_reduction",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "table4_stage_effectiveness",
     "fig8_runtime_breakdown",
     "table5_ablation_bfs",
-    "table_prep_reduction",
     "fig9_ablation_throughput",
 ]
 
@@ -377,74 +376,3 @@ def fig7_scaling(cfg: SuiteConfig | None = None) -> ExperimentReport:
     return ExperimentReport(
         "fig7", text, {"throughput": geo, "speedup": speedups, "points": study.points}
     )
-
-
-# ----------------------------------------------------------------------
-# Prep pipeline — reduction effectiveness across the input catalog
-# ----------------------------------------------------------------------
-def table_prep_reduction(cfg: SuiteConfig | None = None) -> ExperimentReport:
-    """Traversal work saved by the ``--prep=auto`` reduction pipeline.
-
-    Runs every catalog input through plain F-Diam and through the
-    structure-aware pipeline (peel, mirror collapse, per-component
-    reorder + planning) and reports the deterministic work counters
-    side by side. The diameters are asserted equal — the pipeline is
-    exactness-preserving by construction, and this table doubles as a
-    catalog-wide equivalence check.
-
-    ``auto`` consults the cost-model payoff gate first, so on inputs
-    whose structure offers a reduction stage nothing to bite on (no
-    pendant trees, no mirror classes, cache-resident CSR) the stage is
-    vetoed and its counters are legitimately zero — the run then never
-    does *more* traversal work than plain, and the ``gated`` column
-    records which stages were withheld.
-    """
-    cfg = cfg or SuiteConfig()
-    rows = []
-    data: dict[str, dict[str, object]] = {}
-    for wl in iter_workloads(cfg.inputs):
-        plain = fdiam(wl.graph)
-        prepped = fdiam(wl.graph, FDiamConfig(prep="auto"))
-        if prepped.diameter != plain.diameter:
-            raise AssertionError(
-                f"prep changed the diameter on {wl.name}: "
-                f"{plain.diameter} -> {prepped.diameter}"
-            )
-        prep = prepped.stats.prep
-        entry = {
-            "bfs_plain": plain.stats.bfs_traversals,
-            "bfs_prep": prepped.stats.bfs_traversals,
-            "edges_plain": plain.stats.edges_examined,
-            "edges_prep": prepped.stats.edges_examined,
-            "vertices_removed": prep.vertices_removed if prep else 0,
-            "stages_gated": prep.stages_gated if prep else (),
-            "diameter": plain.diameter,
-        }
-        data[wl.name] = entry
-        rows.append(
-            {
-                "Graphs": wl.name,
-                "BFS (plain)": entry["bfs_plain"],
-                "BFS (prep)": entry["bfs_prep"],
-                "edges (plain)": entry["edges_plain"],
-                "edges (prep)": entry["edges_prep"],
-                "removed": entry["vertices_removed"],
-                "gated": ",".join(entry["stages_gated"]) or "-",
-                "diameter": entry["diameter"],
-            }
-        )
-    text = render_table(
-        "Prep pipeline: traversal work, plain vs --prep=auto",
-        [
-            "Graphs",
-            "BFS (plain)",
-            "BFS (prep)",
-            "edges (plain)",
-            "edges (prep)",
-            "removed",
-            "gated",
-            "diameter",
-        ],
-        rows,
-    )
-    return ExperimentReport("table_prep", text, data)

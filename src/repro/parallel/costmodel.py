@@ -168,6 +168,7 @@ class CostModelParams:
             raise AlgorithmError("invalid cost model parameters")
 
 
+# No caller in src/; kept because perfbench/instrument.py reads its verdicts.
 @dataclass(frozen=True)
 class ReductionGates:
     """Payoff verdict for the structural prep stages of one run.
@@ -271,6 +272,7 @@ class LevelSynchronousCostModel:
         average = num_directed_edges / num_vertices
         return average > 1.0 and max_degree >= self.params.hub_skew * average
 
+    # No caller in src/; kept because perfbench/instrument.py patches it.
     def reduction_gates(
         self,
         *,
@@ -302,7 +304,7 @@ class LevelSynchronousCostModel:
         graph *structure*: pendant-rich or mirror-rich inputs keep
         their reductions at any size, while the pinned benchmark
         analogs (0.4-0.8 % degree-1 vertices, sub-cache CSR) gate all
-        three and fall through to the planner-tweaked plain path.
+        three.
         """
         p = self.params
         n, m = max(num_vertices, 1), max(num_directed_edges, 0)

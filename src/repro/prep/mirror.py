@@ -1,4 +1,4 @@
-"""Mirror-vertex collapsing — stage 2 of the prep pipeline.
+"""Mirror-vertex collapsing — the second reduction of :func:`repro.prep.pipeline.preprocess`.
 
 Two vertices are *open mirrors* (false twins) when they have identical
 open neighborhoods ``N(u) = N(v)`` — they are then non-adjacent and,
@@ -17,8 +17,7 @@ intra-class ones — exactly 2 (open) or 1 (closed). Hence (DESIGN.md
 
 whenever the reduced graph ``G'`` is non-trivial. Kronecker/R-MAT
 generators produce many such duplicate neighborhoods (low-degree
-vertices attached to the same hubs), which is what makes this stage pay
-off on the paper's synthetic families.
+vertices attached to the same hubs).
 
 Detection is one exact pass: candidates are pre-bucketed by vectorized
 ``(degree, neighbor-sum)`` signatures (``(degree + 1, neighbor-sum +
@@ -37,7 +36,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import induced_subgraph
 
-__all__ = ["MirrorResult", "collapse_mirrors", "mirror_potential"]
+__all__ = ["MirrorResult", "collapse_mirrors"]
 
 
 @dataclass(frozen=True)
@@ -85,31 +84,6 @@ def _duplicate_signature_mask(
     dup = np.zeros(len(a), dtype=bool)
     dup[order] = dup_sorted
     return dup
-
-
-def mirror_potential(graph: CSRGraph) -> int:
-    """Upper bound on the vertices :func:`collapse_mirrors` could remove.
-
-    Counts the positive-degree vertices whose ``(degree, neighbour-sum)``
-    signature is shared with at least one other vertex — the same cheap
-    O(n + m) pre-filter the collapse itself uses, without the exact
-    adjacency comparison. Every true mirror shares its signature, so
-    this never undercounts; the cost-model payoff gate uses it to skip
-    the full collapse pass on graphs where even the candidate set is
-    too small to pay for it.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    degrees = graph.degrees.astype(np.int64)
-    nonzero = degrees > 0
-    neighbor_sums = np.zeros(n, dtype=np.int64)
-    if nonzero.any():
-        neighbor_sums[nonzero] = np.add.reduceat(
-            graph.indices.astype(np.int64), graph.indptr[:-1][nonzero]
-        )
-    dup = _duplicate_signature_mask(degrees, neighbor_sums) & nonzero
-    return int(np.count_nonzero(dup))
 
 
 def collapse_mirrors(graph: CSRGraph, name: str | None = None) -> MirrorResult:

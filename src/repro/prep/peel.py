@@ -1,4 +1,4 @@
-"""Pendant-tree peeling — stage 1 of the prep pipeline.
+"""Pendant-tree peeling — the first reduction of :func:`repro.prep.pipeline.preprocess`.
 
 Chain Processing (paper §5.3) removes degree-1/degree-2 *paths*; this
 stage generalizes it to whole pendant **trees**. Every vertex outside
@@ -20,8 +20,7 @@ recorded:
 
 With ``G'`` the 2-core plus one spine per anchor, the exactness lemma
 (DESIGN.md §9.2) is ``diam(G) = max(diam(G'), T)`` — and for
-disconnected inputs the same identity holds per component, which is how
-:mod:`repro.prep.pipeline` consumes it.
+disconnected inputs the same identity holds per component.
 
 Everything here is vectorized per BFS level; the only Python-level loop
 is over tree depth (bounded by the longest pendant path).

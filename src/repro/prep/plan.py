@@ -1,18 +1,9 @@
-"""Prep-pipeline specification and the per-component planner.
+"""The reduction specification :func:`repro.prep.pipeline.preprocess` reads.
 
-:class:`PrepSpec` parses the CLI's ``--prep`` grammar
-(``auto | off | <stage>[,<stage>...]`` with stages ``peel``,
-``collapse``/``mirror``, ``reorder[=degree|bfs|rcm|auto]`` and
-``plan``/``components``) into an immutable plan of which stages run.
-
-:func:`plan_component` is the per-component decision point: given one
-connected component of the reduced graph, it consults the degree-skew
-threshold of :class:`~repro.parallel.costmodel.LevelSynchronousCostModel`
-to pick the reorder strategy (degree-descending for hub-heavy
-components, BFS level order for mesh-like ones). Whether a component's
-eccentricities are swept in lanes is not the planner's call: F-Diam's
-``ecc_lanes`` rule (:func:`repro.core.state.ecc_batch_size`) decides
-that inside each component's run.
+:class:`PrepSpec` parses ``auto | off | <stage>[,<stage>...]`` with
+stages ``peel``, ``collapse``/``mirror``, ``reorder[=degree|bfs|rcm|auto]``
+and ``plan``/``components`` into an immutable record of which stages
+are on. ``preprocess`` runs only ``peel`` and ``collapse``.
 """
 
 from __future__ import annotations
@@ -20,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AlgorithmError
-from repro.graph.csr import CSRGraph
-from repro.parallel.costmodel import LevelSynchronousCostModel
 
-__all__ = ["ComponentPlan", "PrepSpec", "plan_component"]
+__all__ = ["PrepSpec"]
 
 _REORDER_CHOICES = ("auto", "degree", "bfs", "rcm")
 
@@ -39,7 +28,7 @@ class PrepSpec:
 
     @property
     def enabled(self) -> bool:
-        """Whether any stage is on (``False`` means plain ``fdiam``)."""
+        """Whether any stage is on."""
         return self.peel or self.collapse or self.reorder != "off" or self.plan
 
     @property
@@ -58,7 +47,7 @@ class PrepSpec:
 
     @classmethod
     def parse(cls, text: str | None) -> PrepSpec:
-        """Parse a ``--prep`` value; raises :class:`AlgorithmError` on junk."""
+        """Parse a stage list; raises :class:`AlgorithmError` on junk."""
         if text is None:
             return cls()
         value = text.strip().lower()
@@ -94,35 +83,3 @@ class PrepSpec:
                     "comma list of peel, collapse, reorder[=STRATEGY], plan"
                 )
         return cls(peel=peel, collapse=collapse, reorder=reorder, plan=plan)
-
-
-@dataclass(frozen=True)
-class ComponentPlan:
-    """Planner verdict for one connected component."""
-
-    reorder: str
-
-
-def plan_component(
-    graph: CSRGraph,
-    *,
-    spec: PrepSpec,
-    model: LevelSynchronousCostModel | None = None,
-) -> ComponentPlan:
-    """Pick the reorder strategy for one component.
-
-    The ``auto`` reorder strategy resolves to ``degree`` for hub-heavy
-    components and BFS level order for mesh-like ones, using the
-    model's skew threshold (RCM stays available explicitly,
-    but its reversal scrambles the id scan F-Diam's main loop relies
-    on, measurably inflating the traversal count on road meshes).
-    """
-    strategy = spec.reorder
-    if strategy == "auto":
-        model = model or LevelSynchronousCostModel()
-        max_degree = graph.max_degree() if graph.num_vertices else 0
-        average = max(graph.average_degree(), 1e-12)
-        strategy = (
-            "degree" if max_degree >= model.params.hub_skew * average else "bfs"
-        )
-    return ComponentPlan(reorder=strategy)

@@ -1,4 +1,4 @@
-"""Vertex reordering — stage 3 of the prep pipeline.
+"""Vertex reordering for ``repro convert --reorder`` and the bytes-per-edge gate.
 
 A permutation layer over :class:`~repro.graph.csr.CSRGraph`: relabel
 vertices so the traversal kernels touch memory sequentially, run the
@@ -17,8 +17,7 @@ exists purely for locality:
   order for meshes/roads: neighbors get nearby ids, shrinking the
   span every ``indices`` access jumps across.
 
-:func:`edge_span` is the deterministic locality proxy recorded in
-:class:`~repro.core.stats.PrepStats` — the sum over edges of
+:func:`edge_span` is a deterministic locality proxy — the sum over edges of
 ``|u - v|``, i.e. the total index distance the kernel's gathers cover
 (halved, counting each undirected edge once).
 """

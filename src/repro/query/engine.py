@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bfs.kernel import TraversalKernel
-from repro.core.config import FDiamConfig
 from repro.dynamic import DynamicDiameter, DynamicGraph, MutationBatch
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
@@ -476,17 +475,16 @@ class QueryEngine:
             stats.sweeps += repair.bfs_traversals
             stats.scalar_traversals += repair.bfs_traversals
             return int(entry.maintainer.diameter)
-        config = FDiamConfig(prep="auto")
         if self.store is not None:
             # Call-time import: repro.cache sits above the query layer's
-            # other dependencies and imports prep/core.
+            # other dependencies and imports core.
             from repro.cache.runner import fdiam_cached
 
-            result, _ = fdiam_cached(entry.graph, config, store=self.store)
+            result, _ = fdiam_cached(entry.graph, store=self.store)
         else:
             from repro.core.fdiam import fdiam
 
-            result = fdiam(entry.graph, config)
+            result = fdiam(entry.graph)
         stats.sweeps += result.stats.bfs_traversals
         stats.scalar_traversals += result.stats.bfs_traversals
         stats.edges_examined += result.stats.edges_examined

@@ -9,11 +9,12 @@ then ``gap - 1`` for each following neighbour, all varint-packed
 decodes independently of the rest of the image — partial traversals
 touch only the file regions their frontier actually visits.
 
-Locality-aware vertex orders (the PR 3 ``--prep`` reorder pipeline)
-are what make the gaps small: after a BFS/RCM reorder neighbours carry
-nearby ids, first deltas and gaps fit in one byte, and a road-network
-CSR drops from ~12 bytes/arc (``int32`` ``.npz``) to ~1.5 bytes/arc.
-The reorder strategy travels in the header's provenance string.
+Locality-aware vertex orders (``repro convert --reorder``, from
+:mod:`repro.prep.reorder`) are what make the gaps small: after a
+BFS/RCM reorder neighbours carry nearby ids, first deltas and gaps fit
+in one byte, and a road-network CSR drops from ~12 bytes/arc
+(``int32`` ``.npz``) to ~1.5 bytes/arc. The reorder strategy travels
+in the header's provenance string.
 
 Three entry points:
 

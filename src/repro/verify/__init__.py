@@ -1,9 +1,8 @@
 """Differential fuzzing and invariant-oracle subsystem.
 
-Four PRs of independently-toggleable machinery — BFS engines, prep
-stages, warm-cache seams, lane batching, the batched query engine —
-multiply into a configuration lattice no hand-written test matrix
-covers. This package turns cross-configuration agreement and the
+Independently-toggleable machinery — BFS engines, warm-cache seams,
+lane batching, the batched query engine — multiplies into a
+configuration lattice no hand-written test matrix covers. This package turns cross-configuration agreement and the
 paper's pruning theorems into machine-checked properties:
 
 * :mod:`repro.verify.oracle` — the invariant oracle attached to a run
@@ -15,8 +14,8 @@ paper's pruning theorems into machine-checked properties:
   dominance holds, and that a witness of the true diameter is never
   discarded.
 * :mod:`repro.verify.differential` — one fuzz trial: sample a graph,
-  run the full config lattice (engines × prep × cache warm/cold ×
-  lanes × QueryEngine) plus two baselines, and report any
+  run the full config lattice (engines × cache warm/cold × lanes ×
+  QueryEngine) plus two baselines, and report any
   disagreement on diameter, connectivity flag, eccentricities, or
   per-query distances.
 * :mod:`repro.verify.metamorphic` — relabeling invariance, edge

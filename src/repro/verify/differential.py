@@ -1,16 +1,16 @@
 """One differential fuzz trial: the config lattice must agree.
 
 Every independently-toggleable axis the solver has grown — BFS engine
-(top-down/bottom-up hybrid, serial, bit-parallel), the ``--prep``
-reduction pipeline, lane batching, chain-tip batching, vertex order,
-the ablation switches, the warm-start cache, the batched query
-engine, and the backing storage format (in-memory CSR vs the
-block-compressed ``.scsr`` store) — is run on the same sampled graph,
-with the invariant oracle attached, and compared against reference
-BFS distances plus two independent baselines (naive APSP and iFUB). Any disagreement on the
-diameter, the connectivity/infinity flag, an eccentricity, or a
-per-query distance is reported as a :class:`Disagreement`, which the
-fuzz runner then shrinks into a replayable artifact.
+(top-down/bottom-up hybrid, serial, bit-parallel), lane batching,
+chain-tip batching, vertex order, the ablation switches, the
+warm-start cache, the batched query engine, and the backing storage
+format (in-memory CSR vs the block-compressed ``.scsr`` store) — is
+run on the same sampled graph, with the invariant oracle attached, and
+compared against reference BFS distances plus two independent
+baselines (naive APSP and iFUB). Any disagreement on the diameter, the
+connectivity/infinity flag, an eccentricity, or a per-query distance
+is reported as a :class:`Disagreement`, which the fuzz runner then
+shrinks into a replayable artifact.
 
 The reference is :func:`repro.bfs.reference.serial_distances` — a
 plain deque BFS that shares no code with the level-synchronous
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-#: The full configuration lattice a trial sweeps: engines × prep ×
+#: The full configuration lattice a trial sweeps: engines ×
 #: lanes (``ecc_lanes="on"`` forces both chain-tip and main-loop lane
 #: sweeps) × ablations × order. Cache warm/cold and the query engine are
 #: exercised separately in :func:`run_trial` (they need a store and a
@@ -50,8 +50,6 @@ __all__ = [
 CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
     ("fdiam/par", FDiamConfig()),
     ("fdiam/ser", FDiamConfig(engine="serial")),
-    ("fdiam/par+prep", FDiamConfig(prep="auto")),
-    ("fdiam/ser+prep", FDiamConfig(engine="serial", prep="auto")),
     ("fdiam/ecc-lanes", FDiamConfig(ecc_lanes="on")),
     ("fdiam/random-order", FDiamConfig(order="random", seed=7)),
     ("fdiam/no-winnow", FDiamConfig(use_winnow=False)),
@@ -66,7 +64,7 @@ class Disagreement:
     """One observed divergence (or invariant violation) in a trial.
 
     ``label`` names the configuration or check that failed (e.g.
-    ``"fdiam/par+prep"``, ``"cache/warm"``, ``"query/dist"``,
+    ``"fdiam/ser"``, ``"cache/warm"``, ``"query/dist"``,
     ``"metamorphic/relabel"``); ``message`` carries the specifics.
     """
 

@@ -57,25 +57,6 @@ class TestFDiamStats:
                 raise ValueError
         assert s.times.other > 0
 
-    def test_merge_keeps_every_workspace_field(self):
-        from dataclasses import fields
-
-        from repro.bfs.kernel import WorkspaceStats
-
-        names = [f.name for f in fields(WorkspaceStats)]
-        parts = []
-        for base in (1, 10):
-            ws = WorkspaceStats(**{n: base + i for i, n in enumerate(names)})
-            parts.append(FDiamStats(workspace=ws))
-        total = FDiamStats()
-        for part in parts:
-            total.merge_from(part)
-        high_water = {"peak_scratch_bytes", "owned_bytes", "shm_bytes"}
-        for i, name in enumerate(names):
-            got = getattr(total.workspace, name)
-            want = 10 + i if name in high_water else (1 + i) + (10 + i)
-            assert got == want, name
-
 
 class TestFDiamConfig:
     def test_defaults_are_full_algorithm(self):

@@ -11,7 +11,6 @@ from repro.core import (
     ACTIVE,
     FDiamConfig,
     FDiamState,
-    FDiamStats,
     fdiam,
     fdiam_with_state,
 )
@@ -212,23 +211,3 @@ class TestClaim:
         members, cursor = _claim(status, pending, cursor, 1)
         assert (members.tolist(), cursor) == ([4], 5)
         assert len(_claim(status, pending, cursor, 1)[0]) == 0
-
-
-class TestStats:
-    def test_merge_sums_counters_and_keeps_widest_batch(self):
-        total = FDiamStats()
-        scalar = FDiamStats(ecc_batch=1, ecc_batch_reason="degree skew 1.0 below hub skew 4.0")
-        lanes = FDiamStats(
-            ecc_sweeps=3, redundant_evaluations=5, ecc_batch=64, ecc_batch_reason="hub"
-        )
-        for part in (scalar, lanes, scalar):
-            total.merge_from(part)
-        assert total.ecc_sweeps == 3
-        assert total.redundant_evaluations == 5
-        assert (total.ecc_batch, total.ecc_batch_reason) == (64, "hub")
-
-    def test_merge_keeps_first_scalar_reason(self):
-        total = FDiamStats()
-        total.merge_from(FDiamStats(ecc_batch_reason="first"))
-        total.merge_from(FDiamStats(ecc_batch_reason="second"))
-        assert (total.ecc_batch, total.ecc_batch_reason) == (1, "first")

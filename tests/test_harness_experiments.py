@@ -19,7 +19,6 @@ from repro.harness import (
     table3_bfs_counts,
     table4_stage_effectiveness,
     table5_ablation_bfs,
-    table_prep_reduction,
 )
 
 TINY = SuiteConfig(inputs=("internet", "USA-road-d.NY"), repeats=1, timeout_s=60)
@@ -72,20 +71,6 @@ class TestTableDrivers:
         report = table4_stage_effectiveness(TINY)
         for fractions in report.data.values():
             assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_table_prep_reduction(self):
-        report = table_prep_reduction(TINY)
-        assert "Prep pipeline" in report.text
-        assert set(report.data) == {"internet", "USA-road-d.NY"}
-        for name, row in report.data.items():
-            # On both pinned graphs the payoff gate vetoes every
-            # reduction stage (no pendant/mirror structure worth an
-            # O(n+m) pass), so auto runs the plain whole-graph path:
-            # same diameter, same traversal work, nothing removed.
-            assert row["stages_gated"], name
-            assert row["bfs_prep"] == row["bfs_plain"], name
-            assert row["edges_prep"] == row["edges_plain"], name
-            assert row["vertices_removed"] == 0, name
 
     def test_table5(self):
         report = table5_ablation_bfs(TINY)

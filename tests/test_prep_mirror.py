@@ -12,13 +12,12 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.core.config import FDiamConfig
 from repro.core.fdiam import fdiam
 from repro.generators import complete_graph, star_graph
 from repro.generators.kronecker import kronecker
 from repro.generators.rmat import rmat
 from repro.graph import from_edges, from_networkx
-from repro.prep import collapse_mirrors, fdiam_prepped
+from repro.prep import PrepSpec, collapse_mirrors, preprocess
 
 from conftest import nx_cc_diameter, to_nx
 
@@ -91,7 +90,8 @@ class TestMirrorCounters:
     def test_prepped_driver_counts_groups(self):
         graph = star_graph(40)
         plain = fdiam(graph)
-        prepped = fdiam_prepped(graph, FDiamConfig(prep="collapse"))
-        assert prepped.diameter == plain.diameter
-        assert prepped.stats.prep.mirror_open_groups >= 1
-        assert prepped.stats.prep.mirror_vertices_removed > 0
+        prepared = preprocess(graph, PrepSpec.parse("collapse"))
+        reduced = fdiam(prepared.graph).diameter
+        assert max(reduced, prepared.correction) == plain.diameter
+        assert prepared.stats.mirror_open_groups >= 1
+        assert prepared.stats.mirror_vertices_removed > 0

@@ -21,8 +21,7 @@ from repro.generators import (
 )
 from repro.generators.road import road_network
 from repro.graph import from_edges, from_networkx
-from repro.prep import PrepSpec, fdiam_prepped, peel_pendant_trees
-from repro.core.config import FDiamConfig
+from repro.prep import PrepSpec, peel_pendant_trees, preprocess
 
 from conftest import nx_cc_diameter, to_nx
 
@@ -120,14 +119,15 @@ class TestPeelCounters:
         assert len(res.core_to_parent) == res.num_core
 
     def test_prepped_driver_uses_correction(self):
-        # End to end through the pipeline: a graph whose diameter lives
+        # End to end through preprocess: a graph whose diameter lives
         # entirely inside a pendant tree.
         edges = [(0, 1), (1, 2), (2, 0)]  # triangle core, diameter 1
         edges += [(0, 3), (3, 4), (4, 5), (5, 6)]  # height-4 pendant path
         graph = from_edges(edges)
         plain = fdiam(graph)
-        prepped = fdiam_prepped(graph, FDiamConfig(prep="peel"))
-        assert prepped.diameter == plain.diameter
-        assert prepped.stats.prep.peel_anchors == 1
         spec = PrepSpec.parse("peel")
         assert spec.tokens == ("peel",)
+        prepared = preprocess(graph, spec)
+        reduced = fdiam(prepared.graph).diameter
+        assert max(reduced, prepared.correction) == plain.diameter
+        assert prepared.stats.peel_anchors == 1

@@ -1,14 +1,14 @@
-"""End-to-end prep pipeline: spec grammar, planner, and equivalence.
+"""The reductions F-Diam no longer calls, and the per-run planning it keeps.
 
-The contract under test is the acceptance criterion: for every graph
-family, ``fdiam(graph, FDiamConfig(prep=...))`` returns the identical
-diameter and infinity convention as the plain path, for every prep
-spec the grammar accepts.
+The contract under test: for every graph family and every spec the
+grammar accepts, plain F-Diam on :func:`preprocess`'s reduced graph,
+combined with the recorded correction, returns the identical diameter
+and infinity convention as plain F-Diam on the input.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.config import FDiamConfig
@@ -32,8 +32,9 @@ from repro.generators.grid import grid_2d
 from repro.generators.kronecker import kronecker
 from repro.generators.rmat import rmat
 from repro.generators.road import road_network
+from repro.graph.components import connected_components
 from repro.parallel.costmodel import CostModelParams, LevelSynchronousCostModel
-from repro.prep import PrepSpec, plan_component, preprocess
+from repro.prep import ORDER_STRATEGIES, PrepSpec, apply_order, collapse_mirrors, preprocess
 
 from conftest import random_gnp
 
@@ -97,6 +98,38 @@ class TestSpecGrammar:
             PrepSpec.parse(junk)
 
 
+def reduced_diameter(graph, text: str) -> tuple[int, bool]:
+    """Diameter and connectivity of ``graph`` read off its reduced form.
+
+    Per DESIGN.md §9.2–9.3 the diameter is the larger of the reduced
+    graph's and the recorded correction, and the components are the
+    reduced graph's plus the tree components the peel absorbed. A
+    reorder stage only permutes vertex ids, so it is applied here.
+    """
+    spec = PrepSpec.parse(text)
+    prepared = preprocess(graph, spec)
+    work = prepared.graph
+    diameter, components = prepared.correction, prepared.removed_components
+    if work.num_vertices:
+        if spec.reorder != "off":
+            strategy = "bfs" if spec.reorder == "auto" else spec.reorder
+            work = apply_order(work, ORDER_STRATEGIES[strategy](work)).graph
+        diameter = max(diameter, fdiam(work).diameter)
+        components += connected_components(work).num_components
+    return diameter, components == 1
+
+
+def gates_for(graph):
+    """The cost model's reduction verdicts, fed from ``graph`` itself."""
+    return LevelSynchronousCostModel().reduction_gates(
+        num_vertices=graph.num_vertices,
+        num_directed_edges=graph.num_directed_edges,
+        deg1_count=int(np.count_nonzero(graph.degrees == 1)),
+        graph_bytes=graph.memory_bytes(),
+        mirror_candidates=lambda: collapse_mirrors(graph).vertices_removed,
+    )
+
+
 def _record_tip_sweeps(monkeypatch) -> list[int]:
     """Record the tip count of every chain-tip lane batch F-Diam runs."""
     swept: list[int] = []
@@ -110,41 +143,40 @@ def _record_tip_sweeps(monkeypatch) -> list[int]:
     return swept
 
 
+def _hub_heavy(graph, model=None) -> bool:
+    model = model or LevelSynchronousCostModel()
+    return model.hub_heavy(graph.num_vertices, graph.num_directed_edges, graph.max_degree())
+
+
 class TestPlanner:
+    """The per-run planning F-Diam keeps: the skew test and the lane rule."""
+
     def test_low_diameter_component_gets_tip_batch(self, monkeypatch):
-        # Hub-heavy with a short bound: the planner picks degree order,
-        # and the component's run sweeps its chain tips in lanes under
-        # the same ecc_lanes rule as a plain run.
+        # Hub-heavy with a short bound: the run sweeps its chain tips in
+        # lanes under the ecc_lanes rule.
         graph = add_tendrils(barabasi_albert(2000, 3, seed=4), 12, 3, 7, seed=4)
-        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
-        assert plan.reorder == "degree"  # hub skew picks degree order
+        assert _hub_heavy(graph)
         swept = _record_tip_sweeps(monkeypatch)
-        prepped = fdiam(graph, FDiamConfig(prep="auto"))
+        result = fdiam(graph)
         assert swept and min(swept) >= 8
-        assert prepped.diameter == fdiam(graph, FDiamConfig(ecc_lanes="off")).diameter
+        assert result.diameter == fdiam(graph, FDiamConfig(ecc_lanes="off")).diameter
 
     def test_high_diameter_component_stays_scalar(self, monkeypatch):
         # A road mesh with tendrils: low skew, so the tips and the main
         # loop both stay scalar.
         graph = add_tendrils(road_network(30, 30, seed=2), 12, 3, 7, seed=4)
-        plan = plan_component(graph, spec=PrepSpec.parse("auto"))
-        assert plan.reorder == "bfs"  # low skew picks BFS level order
+        assert not _hub_heavy(graph)
         swept = _record_tip_sweeps(monkeypatch)
-        prepped = fdiam(graph, FDiamConfig(prep="auto"))
+        result = fdiam(graph)
         assert swept == []
-        assert prepped.stats.ecc_sweeps == 0
-
-    def test_without_plan_stage_nothing_is_second_guessed(self):
-        graph = path_graph(3000)
-        plan = plan_component(graph, spec=PrepSpec.parse("reorder=rcm"))
-        assert plan.reorder == "rcm"
+        assert result.stats.ecc_sweeps == 0
 
     def test_model_threshold_is_respected(self):
         # With a hub skew of 1 the same path counts as hub-heavy.
         graph = path_graph(3000)
+        assert not _hub_heavy(graph)
         model = LevelSynchronousCostModel(CostModelParams(hub_skew=1.0))
-        plan = plan_component(graph, spec=PrepSpec.parse("auto"), model=model)
-        assert plan.reorder == "degree"
+        assert _hub_heavy(graph, model)
 
 
 class TestEquivalence:
@@ -152,10 +184,10 @@ class TestEquivalence:
     def test_every_family_every_spec(self, spec):
         for graph in family_graphs():
             plain = fdiam(graph)
-            prepped = fdiam(graph, FDiamConfig(prep=spec))
-            assert prepped.diameter == plain.diameter, (graph.name, spec)
-            assert prepped.connected == plain.connected, (graph.name, spec)
-            assert prepped.infinite == plain.infinite, (graph.name, spec)
+            assert reduced_diameter(graph, spec) == (plain.diameter, plain.connected), (
+                graph.name,
+                spec,
+            )
 
     def test_forced_tip_batch_matches(self):
         # The chain-tip lane batch (normally gated by the ecc_lanes
@@ -168,63 +200,34 @@ class TestEquivalence:
 
     def test_disconnected_keeps_infinity_convention(self):
         graph = disjoint_union([cycle_graph(8), star_graph(6)])
-        res = fdiam(graph, FDiamConfig(prep="auto"))
-        assert res.infinite and not res.connected
-        assert res.diameter == 4  # largest component eccentricity
+        # The star is absorbed whole; the cycle's diameter dominates.
+        assert reduced_diameter(graph, "auto") == (4, False)
 
     def test_single_vertex_graph(self):
         graph = add_isolated_vertices(path_graph(1), 0)
-        res = fdiam(graph, FDiamConfig(prep="auto"))
-        assert res.diameter == 0 and res.connected
+        assert reduced_diameter(graph, "auto") == (0, True)
 
 
 class TestPrepStats:
     def test_counters_populated_on_explicit_stages(self):
-        # An explicit stage list without "plan" bypasses the payoff
-        # gate (a command, not a suggestion) and exercises every
-        # counter on the road analog.
         graph = road_network(12, 12, seed=3)
-        res = fdiam(graph, FDiamConfig(prep="peel,collapse,reorder"))
-        prep = res.stats.prep
-        assert prep is not None
-        assert prep.stages == ("peel", "collapse", "reorder=auto")
-        assert prep.stages_gated == ()
-        assert prep.components_solved >= 1
-        assert prep.vertices_removed > 0  # road analog has pendant chains
-        assert sum(prep.reorder_strategies.values()) == prep.components_solved
-        assert prep.edge_span_after <= prep.edge_span_before
-
-    def test_skipped_components_counted(self):
-        graph = disjoint_union([grid_2d(8, 8), complete_graph(3)])
-        res = fdiam(graph, FDiamConfig(prep="peel,collapse,reorder"))
-        prep = res.stats.prep
-        # The K3 (diameter <= 2) can never beat the grid's diameter.
-        assert prep.components_skipped >= 1
+        prepared = preprocess(graph, PrepSpec.parse("peel,collapse,reorder"))
+        stats = prepared.stats
+        assert stats.stages == ("peel", "collapse", "reorder=auto")
+        assert stats.vertices_removed > 0  # road analog has pendant chains
+        assert stats.peel_anchors > 0
+        assert prepared.graph.num_vertices < graph.num_vertices
 
     def test_gate_vetoes_all_stages_on_structureless_graph(self):
         # A mesh has no pendant trees, no mirror classes, and fits in
-        # cache, so under "plan" the payoff gate withholds every
-        # structural stage — and the result must still be exact.
-        graph = grid_2d(8, 8)
-        res = fdiam(graph, FDiamConfig(prep="auto"))
-        prep = res.stats.prep
-        assert prep.stages_gated == ("peel", "collapse", "reorder")
-        assert prep.vertices_removed == 0
-        assert res.diameter == fdiam(graph).diameter
+        # cache, so the payoff gate withholds every structural stage.
+        assert gates_for(grid_2d(8, 8)).gated == ("peel", "collapse", "reorder")
 
     def test_gate_keeps_peel_on_pendant_rich_graph(self):
-        from repro.prep.pipeline import gate_spec
-
         graph = caterpillar(10, 3)  # 3 of every 4 vertices are pendant
-        spec, gated = gate_spec(graph, PrepSpec.parse("auto"))
-        assert spec.peel
-        assert "peel" not in gated
-
-    def test_gate_is_a_noop_without_plan(self):
-        from repro.prep.pipeline import gate_spec
-
-        spec = PrepSpec.parse("peel,collapse,reorder")
-        assert gate_spec(grid_2d(8, 8), spec) == (spec, ())
+        gates = gates_for(graph)
+        assert gates.peel
+        assert "peel" not in gates.gated
 
     def test_preprocess_alone_is_consistent(self):
         graph = caterpillar(10, 3)
@@ -237,22 +240,13 @@ class TestPrepStats:
 
 
 class TestCLISmoke:
-    def test_prep_flag_end_to_end(self, tmp_path, capsys):
-        from repro.cli import main
-
-        G = nx.grid_2d_graph(6, 6)
-        G = nx.convert_node_labels_to_integers(G)
-        path = tmp_path / "grid.el"
-        path.write_text("".join(f"{u} {v}\n" for u, v in G.edges()))
-        assert main([str(path), "--prep=auto", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "diameter : 10" in out
-        assert "prep stages    : peel, collapse, reorder=auto, plan" in out
-
     def test_bad_prep_spec_is_an_error(self, tmp_path, capsys):
+        # F-Diam takes no prep spec any more: argparse rejects the flag.
         from repro.cli import main
 
         path = tmp_path / "p.el"
         path.write_text("0 1\n1 2\n")
-        assert main([str(path), "--prep=bogus"]) == 1
-        assert "unknown prep stage" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "--prep=auto"])
+        assert exc.value.code == 2
+        assert "--prep" in capsys.readouterr().err

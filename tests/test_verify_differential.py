@@ -43,11 +43,10 @@ class TestTrialCleanliness:
 
     def test_lattice_covers_every_axis(self):
         labels = {label for label, _config in CONFIG_LATTICE}
-        # Engines, prep, lanes, order, and each ablation must all appear.
+        # Engines, lanes, order, and each ablation must all appear.
         for expected in (
             "fdiam/par",
             "fdiam/ser",
-            "fdiam/par+prep",
             "fdiam/ecc-lanes",
             "fdiam/random-order",
             "fdiam/no-winnow",
@@ -57,7 +56,6 @@ class TestTrialCleanliness:
             assert expected in labels
         configs = [config for _label, config in CONFIG_LATTICE]
         assert any(not c.use_winnow for c in configs)
-        assert any(c.prep != "off" for c in configs)
         assert any(c.ecc_lanes == "on" for c in configs)
         assert {c.engine for c in configs} == {"parallel", "serial"}
 

@@ -20,7 +20,6 @@ from repro.verify import InvariantOracle, available_faults, inject_fault
 CONFIGS = [
     FDiamConfig(verify=True),
     FDiamConfig(verify=True, engine="serial"),
-    FDiamConfig(verify=True, prep="auto"),
     FDiamConfig(verify=True, use_winnow=False),
     FDiamConfig(verify=True, use_eliminate=False),
     FDiamConfig(verify=True, use_chain=False),
